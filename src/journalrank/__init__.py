@@ -15,6 +15,7 @@ from .core import (
     JournalSet,
     StructureReport,
     drop_journal,
+    is_irreducible,
     strongly_connected_components,
     structure,
     validate,
@@ -113,6 +114,7 @@ __all__ = [
     "influence_per_publication",
     "influence_weights",
     "ipp_endpoint_check",
+    "is_irreducible",
     "leave_one_out",
     "min_delta",
     "near_decomposable_example",

@@ -37,14 +37,14 @@ def average_ranks(values) -> np.ndarray:
     """Ranks starting at 1, ties replaced by the mean of their rank run."""
     values = np.asarray(values, dtype=float)
     order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    new_run = np.ones(values.size, dtype=bool)
+    new_run[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(new_run)
+    lengths = np.diff(np.append(starts, values.size))
     ranks = np.empty(values.size, dtype=float)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # A run at zero-based start s of length k holds ranks s + 1 .. s + k.
+    ranks[order] = np.repeat(starts + 0.5 * (lengths + 1), lengths)
     return ranks
 
 
@@ -71,13 +71,14 @@ def correlation_table(vectors: Sequence[indicators.IndicatorVector]) -> Correlat
     if any(v.n != length for v in vectors):
         raise DegenerateInput("indicator vectors must have equal length")
     labels = tuple(v.label() for v in vectors)
+    ranks = [average_ranks(v.values) for v in vectors]
     m = len(vectors)
     p = np.eye(m)
     s = np.eye(m)
     for i in range(m):
         for j in range(i + 1, m):
             p[i, j] = p[j, i] = pearson(vectors[i].values, vectors[j].values)
-            s[i, j] = s[j, i] = spearman(vectors[i].values, vectors[j].values)
+            s[i, j] = s[j, i] = pearson(ranks[i], ranks[j])
     p.flags.writeable = False
     s.flags.writeable = False
     return CorrelationMatrix(labels, p, s)

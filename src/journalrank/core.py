@@ -168,6 +168,30 @@ def _counts_of(matrix) -> np.ndarray:
     return np.asarray(matrix, dtype=float)
 
 
+def _reaches_all(pattern: np.ndarray) -> bool:
+    """Whether every node is reachable from node 0 along pattern's rows."""
+    seen = np.zeros(pattern.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = pattern[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
+
+
+def is_irreducible(matrix) -> bool:
+    """Whether the non-zero citation pattern is strongly connected.
+
+    Same verdict as ``structure(matrix).irreducible`` (a single journal
+    counts only when it cites itself), from a forward and a backward
+    breadth-first sweep out of journal 0 instead of a full SCC pass.
+    """
+    pattern = _counts_of(matrix) > 0
+    if pattern.shape[0] == 1:
+        return bool(pattern[0, 0])
+    return _reaches_all(pattern) and _reaches_all(pattern.T)
+
+
 def strongly_connected_components(matrix) -> list[list[int]]:
     """Strongly connected components of the non-zero citation pattern.
 

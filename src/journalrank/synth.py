@@ -126,7 +126,7 @@ def block_model(spec: BlockModelSpec) -> tuple[JournalSet, CitationMatrix, Field
         matrix = CitationMatrix(counts)
         if np.any(matrix.row_sums == 0):
             continue
-        if not core.structure(matrix).irreducible:
+        if not core.is_irreducible(matrix):
             continue
         journals = JournalSet(
             tuple(

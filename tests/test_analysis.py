@@ -54,8 +54,10 @@ class TestSpearman:
 
     def test_rank_helper_matches_independent_oracle(self):
         rng = np.random.default_rng(4)
-        for _ in range(20):
-            values = rng.integers(0, 10, size=25).astype(float)
+        cases = [rng.integers(0, 10, size=25).astype(float) for _ in range(20)]
+        cases += [rng.integers(0, 2, size=40).astype(float) for _ in range(5)]  # tie-heavy
+        cases += [np.full(7, 3.5), np.array([2.0, 1.0]), np.array([4.0, 4.0]), np.array([5.0])]
+        for values in cases:
             np.testing.assert_array_equal(jr.average_ranks(values), rank_oracle(values))
 
     def test_invariant_under_strictly_increasing_transforms(self):

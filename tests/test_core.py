@@ -97,6 +97,38 @@ class TestStructure:
         assert not report.irreducible and not report.aperiodic
 
 
+class TestIsIrreducible:
+    @pytest.mark.parametrize(
+        "counts, expected",
+        [
+            ([[3.0]], True),
+            ([[0.0]], False),
+            ([[0.0, 1.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], False),  # DAG
+            ([[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 2.0], [0.0, 0.0, 2.0, 1.0]], False),
+            ([[0.0, 1.0], [1.0, 0.0]], True),  # periodic 2-cycle
+            ([[0.0, 1.0], [0.0, 1.0]], False),  # journal 0 reaches all, nobody reaches it
+            ([[1.0, 0.0], [1.0, 0.0]], False),  # all reach journal 0, it reaches nobody
+        ],
+        ids=["single_self_loop", "single_no_loop", "dag", "two_blocks", "two_cycle", "source", "sink"],
+    )
+    def test_edge_cases_match_structure(self, counts, expected):
+        matrix = jr.CitationMatrix(np.array(counts))
+        assert jr.is_irreducible(matrix) is expected
+        assert jr.structure(matrix).irreducible is expected
+
+    def test_matches_tarjan_on_seeded_random_graphs(self):
+        rng = np.random.default_rng(11)
+        verdicts = []
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            density = rng.uniform(0.01, 0.3)
+            counts = (rng.random((n, n)) < density) * rng.integers(1, 5, size=(n, n)).astype(float)
+            verdict = jr.is_irreducible(counts)
+            assert verdict == jr.structure(counts).irreducible, counts
+            verdicts.append(verdict)
+        assert 30 <= sum(verdicts) <= 270
+
+
 class TestDropJournal:
     def test_drop_last_journal_row_sums(self, two_field):
         journals, matrix = two_field

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 import journalrank as jr
+from journalrank import spectral
 from journalrank.errors import NoConvergence, NotIrreducible
 from journalrank.spectral import SolverConfig, reference_shares, solve_iw_eigensystem, stationary
+
+from conftest import make_block
 
 ALPHAS = (0.25, 0.5, 0.85, 1.0)
 
@@ -117,6 +120,48 @@ class TestStationary:
     def test_unnormalized_shares_rejected(self):
         with pytest.raises(ValueError):
             stationary(np.array([[1.0, 1.0], [0.5, 0.5]]), 0.5, np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("method", ("direct", "power"))
+    @pytest.mark.parametrize("alpha", (0.5, 1.0))
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_non_finite_shares_rejected(self, method, alpha, bad):
+        shares = np.array([[bad, 0.5], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="finite"):
+            stationary(shares, alpha, np.array([0.5, 0.5]), SolverConfig(method=method))
+
+    @pytest.mark.parametrize("method", ("direct", "power"))
+    @pytest.mark.parametrize("teleport", ([np.nan, 0.5], [np.nan, np.nan], [np.inf, -np.inf]))
+    def test_non_finite_teleport_rejected(self, method, teleport):
+        shares = np.array([[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="finite"):
+            stationary(shares, 0.5, np.array(teleport), SolverConfig(method=method))
+
+
+@pytest.fixture(scope="module")
+def sparse_instances():
+    """Row-stochastic matrices sparse enough for the power path's COO matvec."""
+    _, matrix, _ = make_block(seed=3, m=200, within=0.025, cross=0.0025)
+    cycle = np.roll(np.eye(30), 1, axis=1)  # journal i cites only journal i + 1
+    return [("block_model_n400", reference_shares(matrix)), ("cycle_n30", cycle)]
+
+
+class TestSparsePowerPath:
+    @pytest.mark.parametrize("alpha", (0.5, 0.85, 1.0))
+    def test_matches_dense_matvec_and_direct(self, sparse_instances, alpha, monkeypatch):
+        power = SolverConfig(method="power")
+        for name, shares in sparse_instances:
+            n = shares.shape[0]
+            assert np.count_nonzero(shares) < spectral.SPARSE_DENSITY * n * n, name
+            teleport = np.random.default_rng(n).dirichlet(np.ones(n))
+            coo, coo_report = stationary(shares, alpha, teleport, power)
+            direct, _ = stationary(shares, alpha, teleport, SolverConfig(method="direct"))
+            with monkeypatch.context() as patch:
+                patch.setattr(spectral, "SPARSE_DENSITY", 0.0)
+                dense, dense_report = stationary(shares, alpha, teleport, power)
+            assert coo_report.method_used == "power" and coo_report.residual <= 1e-12, name
+            assert abs(coo_report.iterations - dense_report.iterations) <= 1, name
+            assert np.abs(coo - dense).max() < 1e-13, name
+            assert np.abs(coo - direct).max() < 1e-10, name
 
 
 class TestIwEigensystem:
