@@ -15,7 +15,6 @@ from .core import (
     JournalSet,
     StructureReport,
     drop_journal,
-    is_irreducible,
     strongly_connected_components,
     structure,
     validate,
@@ -114,7 +113,6 @@ __all__ = [
     "influence_per_publication",
     "influence_weights",
     "ipp_endpoint_check",
-    "is_irreducible",
     "leave_one_out",
     "min_delta",
     "near_decomposable_example",

@@ -183,12 +183,14 @@ def is_irreducible(matrix) -> bool:
     """Whether the non-zero citation pattern is strongly connected.
 
     Same verdict as ``structure(matrix).irreducible`` (a single journal
-    counts only when it cites itself), from a forward and a backward
-    breadth-first sweep out of journal 0 instead of a full SCC pass.
+    counts only when it cites itself, an empty matrix never), from a forward
+    and a backward breadth-first sweep out of journal 0 instead of a full
+    SCC pass.
     """
     pattern = _counts_of(matrix) > 0
-    if pattern.shape[0] == 1:
-        return bool(pattern[0, 0])
+    n = pattern.shape[0]
+    if n <= 1:
+        return bool(n and pattern[0, 0])
     return _reaches_all(pattern) and _reaches_all(pattern.T)
 
 

@@ -24,9 +24,12 @@ from .errors import NoConvergence, NotIrreducible, ZeroOutgoing
 
 DIRECT_LIMIT = 64
 # Share of non-zero cells below which the power path iterates over the
-# non-zeros instead of the dense matrix. Per step, the two cost the same at
-# about 10 % density (n = 1000-3000, one BLAS thread, x86-64); 5 % leaves a
-# margin for extracting the non-zeros once per solve.
+# non-zeros instead of the dense matrix. Measured at n = 1000-2000 (one BLAS
+# thread, x86-64): a sparse step costs as much as a dense one at 9-10 %
+# density, and extracting the non-zeros costs 17-26 dense steps. That
+# extraction is repaid after 40-55 steps at 5 % density but only after
+# 60-95 at 7 %, so the lower cut keeps the sparse path ahead on solves of
+# typical length (alpha = 0.85 to 1 takes 70-270 steps at n = 1500, 1 %).
 SPARSE_DENSITY = 0.05
 
 # Power iteration stops once the extrapolated error (step size times

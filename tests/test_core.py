@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import journalrank as jr
+from journalrank import core
 from journalrank.errors import IndexOutOfRange, ValidationError
 
 
@@ -108,12 +109,13 @@ class TestIsIrreducible:
             ([[0.0, 1.0], [1.0, 0.0]], True),  # periodic 2-cycle
             ([[0.0, 1.0], [0.0, 1.0]], False),  # journal 0 reaches all, nobody reaches it
             ([[1.0, 0.0], [1.0, 0.0]], False),  # all reach journal 0, it reaches nobody
+            (np.zeros((0, 0)), False),
         ],
-        ids=["single_self_loop", "single_no_loop", "dag", "two_blocks", "two_cycle", "source", "sink"],
+        ids=["single_self_loop", "single_no_loop", "dag", "two_blocks", "two_cycle", "source", "sink", "empty"],
     )
     def test_edge_cases_match_structure(self, counts, expected):
         matrix = jr.CitationMatrix(np.array(counts))
-        assert jr.is_irreducible(matrix) is expected
+        assert core.is_irreducible(matrix) is expected
         assert jr.structure(matrix).irreducible is expected
 
     def test_matches_tarjan_on_seeded_random_graphs(self):
@@ -123,7 +125,7 @@ class TestIsIrreducible:
             n = int(rng.integers(1, 40))
             density = rng.uniform(0.01, 0.3)
             counts = (rng.random((n, n)) < density) * rng.integers(1, 5, size=(n, n)).astype(float)
-            verdict = jr.is_irreducible(counts)
+            verdict = core.is_irreducible(counts)
             assert verdict == jr.structure(counts).irreducible, counts
             verdicts.append(verdict)
         assert 30 <= sum(verdicts) <= 270
