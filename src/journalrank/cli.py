@@ -237,20 +237,11 @@ def _cmd_sensitivity(args) -> int:
     solver = _solver_config(args)
     precision = _DEFAULT_PRECISION if args.precision is None else args.precision
 
-    def run(drop_index: int) -> properties.LeaveOneOutReport:
-        return properties.leave_one_out(
-            journals,
-            matrix,
-            drop_index,
-            args.indicator,
-            alpha=args.alpha,
-            beta=args.beta,
-            gamma=args.gamma,
-            solver=solver,
-        )
+    params = dict(alpha=args.alpha, beta=args.beta, gamma=args.gamma, solver=solver)
 
     if args.sweep:
-        results = [(journals.ids[i], run(i).max_relative_change) for i in range(journals.n)]
+        reports = properties.leave_one_out_sweep(journals, matrix, args.indicator, **params)
+        results = [(journals.ids[r.dropped], r.max_relative_change) for r in reports]
         results.sort(key=lambda item: (-item[1], item[0]))
         if args.format == "csv":
             writer = _csv_out()
@@ -269,7 +260,7 @@ def _cmd_sensitivity(args) -> int:
         return 0
 
     drop_index = journals.index_of(args.drop)
-    report = run(drop_index)
+    report = properties.leave_one_out(journals, matrix, drop_index, args.indicator, **params)
     survivor_ids = [ident for k, ident in enumerate(journals.ids) if k != drop_index]
     if args.format == "csv":
         writer = _csv_out()
@@ -418,6 +409,8 @@ def _error_record(exc: Exception) -> dict:
             {"code": i.code, "message": i.message, "journal": i.journal, "cell": i.cell}
             for i in exc.issues
         ]
+        if exc.issue_count > len(exc.issues):
+            record["issue_count"] = exc.issue_count
     if isinstance(exc, NotIrreducible) and exc.components is not None:
         record["components"] = exc.components
     if isinstance(exc, NoConvergence):

@@ -8,7 +8,7 @@ The citation matrix follows the row = citing, column = cited convention:
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,21 +105,33 @@ class StructureReport:
     zero_columns: tuple[int, ...]
 
 
+MAX_ISSUES_PER_CODE = 20
+"""Issues of one code that ``validate`` stores; further ones are only counted."""
+
+
 def validate(journals: JournalSet, matrix: CitationMatrix) -> tuple[JournalSet, CitationMatrix]:
     """Check a journal set / matrix pair and return it unchanged if sound.
 
-    Raises ValidationError listing every violation found: duplicate or
+    Raises ValidationError reporting every violation found: duplicate or
     empty ids, negative or non-finite article counts, a dimension mismatch,
-    and negative or non-finite matrix cells.
+    and negative or non-finite matrix cells. The first
+    ``MAX_ISSUES_PER_CODE`` issues of each code are stored; the error's
+    ``issue_count`` is the exact total.
     """
     issues: list[Issue] = []
+    found: Counter[str] = Counter()
+
+    def add(issue: Issue) -> None:
+        found[issue.code] += 1
+        if found[issue.code] <= MAX_ISSUES_PER_CODE:
+            issues.append(issue)
 
     seen: dict[str, int] = {}
     for k, journal in enumerate(journals.journals):
         if journal.id == "":
-            issues.append(Issue("EmptyId", f"journal at index {k} has an empty id"))
+            add(Issue("EmptyId", f"journal at index {k} has an empty id"))
         elif journal.id in seen:
-            issues.append(
+            add(
                 Issue(
                     "DuplicateId",
                     f"journal id {journal.id!r} appears at indices {seen[journal.id]} and {k}",
@@ -130,35 +142,32 @@ def validate(journals: JournalSet, matrix: CitationMatrix) -> tuple[JournalSet, 
             seen[journal.id] = k
         for label, count in (("articles_t1", journal.articles_t1), ("articles_t2", journal.articles_t2)):
             if not math.isfinite(count):
-                issues.append(
-                    Issue("NonFiniteCount", f"{label} of journal {journal.id!r} is not finite", journal=journal.id)
-                )
+                add(Issue("NonFiniteCount", f"{label} of journal {journal.id!r} is not finite", journal=journal.id))
             elif count < 0:
-                issues.append(
-                    Issue("NegativeCount", f"{label} of journal {journal.id!r} is negative", journal=journal.id)
-                )
+                add(Issue("NegativeCount", f"{label} of journal {journal.id!r} is negative", journal=journal.id))
 
     if matrix.n != journals.n:
-        issues.append(
+        add(
             Issue(
                 "DimensionMismatch",
                 f"journal set has {journals.n} journals but matrix is {matrix.n}x{matrix.n}",
             )
         )
 
-    bad = ~np.isfinite(matrix.counts)
-    for i, j in zip(*np.nonzero(bad)):
-        issues.append(
-            Issue("NonFiniteCount", f"matrix cell ({i}, {j}) is not finite", cell=(int(i), int(j)))
-        )
-    negative = np.isfinite(matrix.counts) & (matrix.counts < 0)
-    for i, j in zip(*np.nonzero(negative)):
-        issues.append(
-            Issue("NegativeCount", f"matrix cell ({i}, {j}) is negative", cell=(int(i), int(j)))
+    finite = np.isfinite(matrix.counts)
+    for code, bad, what in (
+        ("NonFiniteCount", ~finite, "is not finite"),
+        ("NegativeCount", finite & (matrix.counts < 0), "is negative"),
+    ):
+        cells = np.argwhere(bad)
+        room = max(MAX_ISSUES_PER_CODE - found[code], 0)
+        found[code] += len(cells)
+        issues.extend(
+            Issue(code, f"matrix cell ({i}, {j}) {what}", cell=(int(i), int(j))) for i, j in cells[:room]
         )
 
     if issues:
-        raise ValidationError(issues)
+        raise ValidationError(issues, sum(found.values()))
     return journals, matrix
 
 

@@ -9,9 +9,15 @@ Two files describe an instance:
   journals.csv order; each following row is a citing journal id followed
   by its integer citation counts.
 
-Ids are written in full and matched exactly on read, so files for reduced
-instances (dropped journals) stay unambiguous. Writing then re-reading and
-re-writing a dataset reproduces the files byte for byte.
+Counts are read with Python ``int()`` syntax: a sign, surrounding
+whitespace, ``_`` digit separators and any Unicode decimal digits are
+accepted, and ``1.5``, ``1e3``, ``nan`` or an empty cell is rejected with
+``NonIntegerCount``. Ids are
+written in full and matched exactly on read, so files for reduced instances
+(dropped journals) stay unambiguous. For a dataset with integral counts,
+writing then re-reading and re-writing reproduces the files byte for byte;
+a matrix with a non-integral count is written (``1.5``) but cannot be read
+back.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ def _fail(code: str, message: str, **kw) -> ValidationError:
 
 def _read_rows(path: str | Path) -> list[list[str]]:
     with open(path, newline="", encoding="utf-8") as handle:
-        return [row for row in csv.reader(handle)]
+        return list(csv.reader(handle))
 
 
 def _parse_count(text: str, what: str) -> int:
@@ -109,8 +115,14 @@ def read_matrix(path: str | Path, journals: JournalSet) -> CitationMatrix:
                 "HeaderMismatch",
                 f"matrix row {i} is labelled {row[0]!r}, expected {ids[i]!r}",
             )
-        for j, cell in enumerate(row[1:]):
-            counts[i, j] = _parse_count(cell, f"citation count ({row[0]!r} -> {ids[j]!r})")
+        try:
+            # numpy's str -> int64 conversion goes through int(), so it accepts
+            # and rejects the same cells; only counts beyond int64 need the
+            # per-cell path, which also names the first bad cell of the row.
+            counts[i] = np.array(row[1:], dtype=np.int64)
+        except (ValueError, OverflowError):
+            for j, cell in enumerate(row[1:]):
+                counts[i, j] = _parse_count(cell, f"citation count ({row[0]!r} -> {ids[j]!r})")
     return CitationMatrix(counts)
 
 
@@ -119,8 +131,15 @@ def write_matrix(path: str | Path, journals: JournalSet, matrix: CitationMatrix)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow([MATRIX_CORNER] + ids)
-        for i, ident in enumerate(ids):
-            writer.writerow([ident] + [_format_count(v) for v in matrix.counts[i]])
+        counts = matrix.counts
+        # One cast when every count is integral and fits int64; _format_count
+        # writes such counts as str(int) too, so the bytes are the same.
+        if np.all((np.abs(counts) < 2.0**63) & (counts == np.floor(counts))):
+            rows = (row.tolist() for row in counts.astype(np.int64))
+        else:
+            rows = ([_format_count(v) for v in row] for row in counts)
+        for ident, row in zip(ids, rows):
+            writer.writerow([ident] + row)
 
 
 def _format_count(value: float) -> str:

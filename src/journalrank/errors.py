@@ -26,13 +26,19 @@ class Issue:
 class ValidationError(JournalRankError):
     """A journal set / citation matrix pair failed validation.
 
-    Carries every violation found, not just the first one.
+    `issues` holds the violations found, not just the first one; when some
+    were only counted, `issue_count` (the exact total) exceeds
+    ``len(issues)`` and the message ends with "… and N more".
     """
 
-    def __init__(self, issues):
+    def __init__(self, issues, issue_count: int | None = None):
         self.issues = tuple(issues)
+        self.issue_count = len(self.issues) if issue_count is None else issue_count
         summary = "; ".join(issue.message for issue in self.issues)
-        super().__init__(f"{len(self.issues)} validation issue(s): {summary}")
+        hidden = self.issue_count - len(self.issues)
+        if hidden:
+            summary += f"; … and {hidden} more"
+        super().__init__(f"{self.issue_count} validation issue(s): {summary}")
 
 
 class IndexOutOfRange(JournalRankError, IndexError):

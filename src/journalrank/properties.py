@@ -196,17 +196,49 @@ def leave_one_out(
     is recomputed on the reduced instance. Needs at least three journals
     after the drop so that recursive indicators stay meaningful.
     """
+    params = dict(alpha=alpha, beta=beta, gamma=gamma, solver=solver)
+    full = _full_values(journals, matrix, kind, params)
+    return _drop_report(journals, matrix, dropped, kind, full, params)
+
+
+def leave_one_out_sweep(
+    journals: core.JournalSet,
+    matrix: core.CitationMatrix,
+    kind: str,
+    *,
+    alpha: float | None = None,
+    beta: float | None = None,
+    gamma: float | None = None,
+    solver: spectral.SolverConfig | None = None,
+) -> list[LeaveOneOutReport]:
+    """``leave_one_out`` for every journal in index order.
+
+    The full instance is solved once for all drops, so a sweep costs n + 1
+    indicator computations rather than 2n; each report equals the one
+    ``leave_one_out`` gives for the same journal.
+    """
+    params = dict(alpha=alpha, beta=beta, gamma=gamma, solver=solver)
+    full = _full_values(journals, matrix, kind, params)
+    return [_drop_report(journals, matrix, dropped, kind, full, params) for dropped in range(journals.n)]
+
+
+def _full_values(journals: core.JournalSet, matrix: core.CitationMatrix, kind: str, params: dict) -> np.ndarray:
     if journals.n - 1 < 3:
         raise ValueError("need at least four journals to study a drop")
-    before_vec = indicators.compute(
-        kind, journals, matrix, alpha=alpha, beta=beta, gamma=gamma, solver=solver
-    )
+    return indicators.compute(kind, journals, matrix, **params).values
+
+
+def _drop_report(
+    journals: core.JournalSet,
+    matrix: core.CitationMatrix,
+    dropped: int,
+    kind: str,
+    full_values: np.ndarray,
+    params: dict,
+) -> LeaveOneOutReport:
     reduced_journals, reduced_matrix = core.drop_journal(journals, matrix, dropped)
-    after_vec = indicators.compute(
-        kind, reduced_journals, reduced_matrix, alpha=alpha, beta=beta, gamma=gamma, solver=solver
-    )
-    before = np.delete(before_vec.values, dropped)
-    after = after_vec.values
+    after = indicators.compute(kind, reduced_journals, reduced_matrix, **params).values
+    before = np.delete(full_values, dropped)
     with np.errstate(divide="ignore", invalid="ignore"):
         relative = np.where(before > 0, np.abs(after - before) / before, np.nan)
     zero_before = tuple(int(i) for i in np.flatnonzero(before == 0))

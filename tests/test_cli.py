@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import journalrank as jr
-from journalrank import dataio
+from journalrank import core, dataio
 from journalrank.cli import main
 
 # Golden CSV for the bundled two-field dataset at display precision 3.
@@ -146,6 +146,34 @@ class TestCompute:
         assert record["error"] == "ValidationError"
         assert record["issues"][0]["code"] == "NegativeCount"
         assert record["issues"][0]["cell"] == [1, 1]
+        assert err == (
+            '{"error": "ValidationError", "message": "1 validation issue(s): matrix cell (1, 1) is negative", '
+            '"issues": [{"code": "NegativeCount", "message": "matrix cell (1, 1) is negative", '
+            '"journal": null, "cell": [1, 1]}]}\n'
+        )
+
+    def test_huge_invalid_matrix_gives_a_bounded_record(self, capsys, tmp_path):
+        n = 300
+        ids = [f"J{k}" for k in range(n)]
+        journals = jr.JournalSet(tuple(jr.Journal(i, None, 5, 5) for i in ids))
+        dataio.write_journals(tmp_path / "journals.csv", journals)
+        dataio.write_matrix(tmp_path / "matrix.csv", journals, jr.CitationMatrix(-np.ones((n, n))))
+        code, _, err = run(
+            capsys,
+            "compute",
+            "--journals",
+            str(tmp_path / "journals.csv"),
+            "--matrix",
+            str(tmp_path / "matrix.csv"),
+            "--indicator",
+            "if",
+        )
+        assert code == 1
+        record = json.loads(err)
+        assert record["issue_count"] == n * n
+        assert len(record["issues"]) == core.MAX_ISSUES_PER_CODE
+        assert record["message"].endswith(f"… and {n * n - core.MAX_ISSUES_PER_CODE} more")
+        assert len(err) < 10_000
 
     def test_non_convergence_exits_two(self, capsys, dataset):
         code, _, err = run(

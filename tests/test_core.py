@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,46 @@ class TestValidate:
             jr.validate(journals, matrix)
         codes = sorted(i.code for i in err.value.issues)
         assert codes == ["DuplicateId", "NegativeCount", "NegativeCount", "NonFiniteCount"]
+        assert err.value.issue_count == 4
+        assert str(err.value) == (
+            "4 validation issue(s): articles_t1 of journal 'a' is negative; "
+            "journal id 'a' appears at indices 0 and 1; matrix cell (1, 0) is not finite; "
+            "matrix cell (0, 1) is negative"
+        )
+
+    def test_huge_violation_is_counted_not_listed(self):
+        n = 1000
+        journals = journals_of(*((f"J{k}", 1, 1) for k in range(n)))
+        counts = -np.ones((n, n))
+        counts[0, 0] = np.nan
+        start = time.perf_counter()
+        with pytest.raises(ValidationError) as err:
+            jr.validate(journals, jr.CitationMatrix(counts))
+        # One Issue per cell took about 4 s for this input (2-vCPU x86-64 VM)
+        # and built a 36 MB message.
+        assert time.perf_counter() - start < 1.0
+        cap = core.MAX_ISSUES_PER_CODE
+        issues = err.value.issues
+        assert [i.code for i in issues] == ["NonFiniteCount"] + ["NegativeCount"] * cap
+        assert [i.cell for i in issues[1:4]] == [(0, 1), (0, 2), (0, 3)]
+        assert err.value.issue_count == n * n
+        message = str(err.value)
+        assert message.startswith(f"{n * n} validation issue(s): matrix cell (0, 0) is not finite; ")
+        assert message.endswith(f"; … and {n * n - 1 - cap} more")
+        assert len(message) < 100 * (cap + 1)
+
+    def test_cap_is_per_code_and_shared_by_journals_and_cells(self):
+        cap = core.MAX_ISSUES_PER_CODE
+        n = cap + 5
+        journals = journals_of(*((f"J{k}", -1, 1) for k in range(n)))
+        counts = np.ones((n, n))
+        counts[2, 3] = -1.0
+        with pytest.raises(ValidationError) as err:
+            jr.validate(journals, jr.CitationMatrix(counts))
+        issues = err.value.issues
+        assert len(issues) == cap
+        assert all(i.code == "NegativeCount" and i.cell is None for i in issues)
+        assert err.value.issue_count == n + 1
 
 
 class TestStructure:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import journalrank as jr
+from journalrank import properties
 from journalrank.core import CitationMatrix, Journal, JournalSet
 from journalrank.errors import NotIrreducible, PreconditionViolated, ZeroOutgoing
 from journalrank.spectral import SolverConfig
@@ -201,6 +202,26 @@ class TestLeaveOneOut:
             for i in range(journals.n)
         ]
         assert first == second
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("ipp", {}), ("ai", {"alpha": 0.85}), ("sjr", {}), ("af", {}), ("if", {})],
+    )
+    def test_sweep_reports_equal_single_drops_bitwise(self, kind, params):
+        journals, matrix, _ = make_block(seed=31, m=5)
+        reports = properties.leave_one_out_sweep(journals, matrix, kind, **params)
+        assert [r.dropped for r in reports] == list(range(journals.n))
+        for report in reports:
+            single = jr.leave_one_out(journals, matrix, report.dropped, kind, **params)
+            for name in ("before", "after", "relative_change"):
+                assert getattr(report, name).tobytes() == getattr(single, name).tobytes()
+            assert report.max_relative_change == single.max_relative_change
+            assert report.zero_before == single.zero_before
+
+    def test_sweep_needs_four_journals(self, near_decomposable):
+        journals, matrix, _ = near_decomposable
+        with pytest.raises(ValueError):
+            properties.leave_one_out_sweep(journals, matrix, "if")
 
 
 class TestEndpointChecks:
