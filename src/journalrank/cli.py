@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beta", type=float, default=None)
         p.add_argument("--gamma", type=float, default=None)
 
-    kinds = ("if", "af", "iw", "ipp", "ef", "ai", "wpr", "sjr")
+    kinds = tuple(indicators.KINDS)
 
     p_compute = sub.add_parser("compute", help="compute one indicator")
     add_dataset_args(p_compute)
@@ -106,9 +106,7 @@ def _load_dataset(args) -> tuple[core.JournalSet, core.CitationMatrix]:
     return core.validate(journals, matrix)
 
 
-def _fmt(value: float, precision: int | None) -> str:
-    if precision is None:
-        return repr(float(value))
+def _fmt(value: float, precision: int) -> str:
     return f"{value:.{precision}f}"
 
 
@@ -116,67 +114,70 @@ def _round(value: float, precision: int | None) -> float:
     return float(value) if precision is None else round(float(value), precision)
 
 
-def _csv_out():
-    return csv.writer(sys.stdout, lineterminator="\n")
+def _emit(args, header, rows, payload) -> int:
+    """Write one command's result: header and rows as CSV, or payload as JSON.
 
-
-def _cmd_compute(args) -> int:
-    journals, matrix = _load_dataset(args)
-    vector = indicators.compute(
-        args.indicator,
-        journals,
-        matrix,
-        alpha=args.alpha,
-        beta=args.beta,
-        gamma=args.gamma,
-        solver=_solver_config(args),
-    )
+    Rows are lazy, so their display formatting runs only for CSV output.
+    """
     if args.format == "csv":
-        precision = _DEFAULT_PRECISION if args.precision is None else args.precision
-        writer = _csv_out()
-        writer.writerow(["id", "value"])
-        for ident, value in zip(journals.ids, vector.values):
-            writer.writerow([ident, _fmt(value, precision)])
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     else:
-        solver = None
-        if vector.solver is not None:
-            solver = {
-                "iterations": vector.solver.iterations,
-                "residual": vector.solver.residual,
-                "method_used": vector.solver.method_used,
-            }
-        payload = {
-            "indicator": args.indicator,
-            "params": dict(vector.params),
-            "values": {
-                ident: _round(value, args.precision)
-                for ident, value in zip(journals.ids, vector.values)
-            },
-            "solver": solver,
-        }
         json.dump(payload, sys.stdout)
         sys.stdout.write("\n")
     return 0
 
 
+def _csv_precision(args) -> int:
+    return _DEFAULT_PRECISION if args.precision is None else args.precision
+
+
+def _indicator_params(args) -> dict:
+    return dict(alpha=args.alpha, beta=args.beta, gamma=args.gamma, solver=_solver_config(args))
+
+
+def _compute(args, journals, matrix) -> indicators.IndicatorVector:
+    return indicators.compute(args.indicator, journals, matrix, **_indicator_params(args))
+
+
+def _cmd_compute(args) -> int:
+    journals, matrix = _load_dataset(args)
+    vector = _compute(args, journals, matrix)
+    precision = _csv_precision(args)
+    rows = ([ident, _fmt(value, precision)] for ident, value in zip(journals.ids, vector.values))
+    solver = None
+    if vector.solver is not None:
+        solver = {
+            "iterations": vector.solver.iterations,
+            "residual": vector.solver.residual,
+            "method_used": vector.solver.method_used,
+        }
+    payload = {
+        "indicator": args.indicator,
+        "params": dict(vector.params),
+        "values": {
+            ident: _round(value, args.precision) for ident, value in zip(journals.ids, vector.values)
+        },
+        "solver": solver,
+    }
+    return _emit(args, ["id", "value"], rows, payload)
+
+
 def _parse_indicator_token(token: str):
-    """One correlate token: kind, optionally kind:alpha or kind:beta,gamma."""
+    """One correlate token: kind, or kind:p1[,p2] with the kind's parameters in order."""
     name, _, param_text = token.strip().partition(":")
     name = name.lower()
-    params: dict[str, float] = {}
-    if param_text:
-        pieces = param_text.split(",")
-        try:
-            numbers = [float(p) for p in pieces]
-        except ValueError:
-            raise ValueError(f"bad indicator token {token!r}") from None
-        if name in ("ef", "ai") and len(numbers) == 1:
-            params["alpha"] = numbers[0]
-        elif name in ("wpr", "sjr") and len(numbers) == 2:
-            params["beta"], params["gamma"] = numbers
-        else:
-            raise ValueError(f"bad parameters in indicator token {token!r}")
-    return name, params
+    if not param_text:
+        return name, {}
+    try:
+        numbers = [float(p) for p in param_text.split(",")]
+    except ValueError:
+        raise ValueError(f"bad indicator token {token!r}") from None
+    names = tuple(indicators.KINDS[name].params) if name in indicators.KINDS else ()
+    if len(numbers) != len(names):
+        raise ValueError(f"bad parameters in indicator token {token!r}")
+    return name, dict(zip(names, numbers))
 
 
 def _cmd_correlate(args) -> int:
@@ -198,30 +199,23 @@ def _cmd_correlate(args) -> int:
         name, params = _parse_indicator_token(token)
         vectors.append(indicators.compute(name, journals, matrix, solver=solver, **params))
     table = analysis.correlation_table(vectors)
-    precision = _DEFAULT_PRECISION if args.precision is None else args.precision
-    if args.format == "csv":
-        writer = _csv_out()
-        writer.writerow(["indicator"] + list(table.labels))
-        for i, label in enumerate(table.labels):
-            row = [label]
-            for j in range(len(table.labels)):
-                if i == j:
-                    grid_value = 1.0
-                elif i > j:
-                    grid_value = table.pearson[i, j]
-                else:
-                    grid_value = table.spearman[i, j]
-                row.append(_fmt(grid_value, precision))
-            writer.writerow(row)
-    else:
-        payload = {
-            "labels": list(table.labels),
-            "pearson": [[_round(v, args.precision) for v in row] for row in table.pearson],
-            "spearman": [[_round(v, args.precision) for v in row] for row in table.spearman],
-        }
-        json.dump(payload, sys.stdout)
-        sys.stdout.write("\n")
-    return 0
+    precision = _csv_precision(args)
+    labels = list(table.labels)
+    # Pearson below the diagonal, Spearman above, 1 on it.
+    rows = (
+        [label]
+        + [
+            _fmt(1.0 if i == j else table.pearson[i, j] if i > j else table.spearman[i, j], precision)
+            for j in range(len(labels))
+        ]
+        for i, label in enumerate(labels)
+    )
+    payload = {
+        "labels": labels,
+        "pearson": [[_round(v, args.precision) for v in row] for row in table.pearson],
+        "spearman": [[_round(v, args.precision) for v in row] for row in table.spearman],
+    }
+    return _emit(args, ["indicator"] + labels, rows, payload)
 
 
 def _is_number(text: str) -> bool:
@@ -234,61 +228,47 @@ def _is_number(text: str) -> bool:
 
 def _cmd_sensitivity(args) -> int:
     journals, matrix = _load_dataset(args)
-    solver = _solver_config(args)
-    precision = _DEFAULT_PRECISION if args.precision is None else args.precision
-
-    params = dict(alpha=args.alpha, beta=args.beta, gamma=args.gamma, solver=solver)
+    precision = _csv_precision(args)
+    params = _indicator_params(args)
 
     if args.sweep:
         reports = properties.leave_one_out_sweep(journals, matrix, args.indicator, **params)
         results = [(journals.ids[r.dropped], r.max_relative_change) for r in reports]
         results.sort(key=lambda item: (-item[1], item[0]))
-        if args.format == "csv":
-            writer = _csv_out()
-            writer.writerow(["dropped_id", "max_relative_change"])
-            for ident, change in results:
-                writer.writerow([ident, _fmt(change, precision)])
-        else:
-            payload = {
-                "sweep": [
-                    {"dropped": ident, "max_relative_change": _round(change, args.precision)}
-                    for ident, change in results
-                ]
-            }
-            json.dump(payload, sys.stdout)
-            sys.stdout.write("\n")
-        return 0
+        rows = ([ident, _fmt(change, precision)] for ident, change in results)
+        payload = {
+            "sweep": [
+                {"dropped": ident, "max_relative_change": _round(change, args.precision)}
+                for ident, change in results
+            ]
+        }
+        return _emit(args, ["dropped_id", "max_relative_change"], rows, payload)
 
     drop_index = journals.index_of(args.drop)
     report = properties.leave_one_out(journals, matrix, drop_index, args.indicator, **params)
     survivor_ids = [ident for k, ident in enumerate(journals.ids) if k != drop_index]
-    if args.format == "csv":
-        writer = _csv_out()
-        writer.writerow(["id", "before", "after", "relative_change"])
-        for k, ident in enumerate(survivor_ids):
-            rel = report.relative_change[k]
-            writer.writerow(
-                [
-                    ident,
-                    _fmt(report.before[k], precision),
-                    _fmt(report.after[k], precision),
-                    "" if not _finite(rel) else _fmt(rel, precision),
-                ]
-            )
-    else:
-        payload = {
-            "dropped": args.drop,
-            "before": {i: _round(v, args.precision) for i, v in zip(survivor_ids, report.before)},
-            "after": {i: _round(v, args.precision) for i, v in zip(survivor_ids, report.after)},
-            "relative_change": {
-                i: (_round(v, args.precision) if _finite(v) else None)
-                for i, v in zip(survivor_ids, report.relative_change)
-            },
-            "max_relative_change": _round(report.max_relative_change, args.precision),
-        }
-        json.dump(payload, sys.stdout)
-        sys.stdout.write("\n")
-    return 0
+    rows = (
+        [
+            ident,
+            _fmt(before, precision),
+            _fmt(after, precision),
+            _fmt(rel, precision) if _finite(rel) else "",
+        ]
+        for ident, before, after, rel in zip(
+            survivor_ids, report.before, report.after, report.relative_change
+        )
+    )
+    payload = {
+        "dropped": args.drop,
+        "before": {i: _round(v, args.precision) for i, v in zip(survivor_ids, report.before)},
+        "after": {i: _round(v, args.precision) for i, v in zip(survivor_ids, report.after)},
+        "relative_change": {
+            i: (_round(v, args.precision) if _finite(v) else None)
+            for i, v in zip(survivor_ids, report.relative_change)
+        },
+        "max_relative_change": _round(report.max_relative_change, args.precision),
+    }
+    return _emit(args, ["id", "before", "after", "relative_change"], rows, payload)
 
 
 def _finite(value: float) -> bool:
@@ -298,55 +278,41 @@ def _finite(value: float) -> bool:
 def _cmd_field_check(args) -> int:
     journals, matrix = _load_dataset(args)
     partition = dataio.read_partition(args.partition, journals)
-    vector = indicators.compute(
-        args.indicator,
-        journals,
-        matrix,
-        alpha=args.alpha,
-        beta=args.beta,
-        gamma=args.gamma,
-        solver=_solver_config(args),
-    )
+    vector = _compute(args, journals, matrix)
     report = properties.field_insensitivity_check(journals, matrix, partition, vector)
-    precision = _DEFAULT_PRECISION if args.precision is None else args.precision
-    if args.format == "csv":
-        writer = _csv_out()
-        writer.writerow(
-            [
-                "delta",
-                "field1_mean",
-                "field2_mean",
-                "overall_mean",
-                "bounds_hold_1",
-                "bounds_hold_2",
-                "balanced",
-                "eta",
-            ]
-        )
-        writer.writerow(
-            [
-                _fmt(report.delta, max(precision, 6)),
-                _fmt(report.field_means[0], precision),
-                _fmt(report.field_means[1], precision),
-                _fmt(report.overall_mean, precision),
-                str(report.bounds_hold[0]).lower(),
-                str(report.bounds_hold[1]).lower(),
-                str(report.balanced).lower(),
-                "" if report.eta is None else _fmt(report.eta, precision),
-            ]
-        )
-    else:
-        payload = {
-            "delta": report.delta,
-            "field_means": list(report.field_means),
-            "overall_mean": report.overall_mean,
-            "bounds_hold": list(report.bounds_hold),
-            "balanced": report.balanced,
-            "eta": report.eta,
-        }
-        json.dump(payload, sys.stdout)
-        sys.stdout.write("\n")
-    return 0
+    precision = _csv_precision(args)
+    header = [
+        "delta",
+        "field1_mean",
+        "field2_mean",
+        "overall_mean",
+        "bounds_hold_1",
+        "bounds_hold_2",
+        "balanced",
+        "eta",
+    ]
+    rows = (
+        [
+            _fmt(r.delta, max(precision, 6)),
+            _fmt(r.field_means[0], precision),
+            _fmt(r.field_means[1], precision),
+            _fmt(r.overall_mean, precision),
+            str(r.bounds_hold[0]).lower(),
+            str(r.bounds_hold[1]).lower(),
+            str(r.balanced).lower(),
+            "" if r.eta is None else _fmt(r.eta, precision),
+        ]
+        for r in (report,)
+    )
+    payload = {
+        "delta": report.delta,
+        "field_means": list(report.field_means),
+        "overall_mean": report.overall_mean,
+        "bounds_hold": list(report.bounds_hold),
+        "balanced": report.balanced,
+        "eta": report.eta,
+    }
+    return _emit(args, header, rows, payload)
 
 
 def _cmd_demo(args) -> int:
@@ -430,14 +396,10 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _COMMANDS[args.command](args)
-    except NoConvergence as exc:
-        json.dump(_error_record(exc), sys.stderr)
-        sys.stderr.write("\n")
-        return 2
     except (JournalRankError, ValueError, KeyError, OSError) as exc:
         json.dump(_error_record(exc), sys.stderr)
         sys.stderr.write("\n")
-        return 1
+        return 2 if isinstance(exc, NoConvergence) else 1
 
 
 def entrypoint() -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRange, Issue, ValidationError
+from .errors import IndexOutOfRange, Issue, NotIrreducible, ValidationError
 
 
 @dataclass(frozen=True)
@@ -201,6 +201,16 @@ def is_irreducible(matrix) -> bool:
     if n <= 1:
         return bool(n and pattern[0, 0])
     return _reaches_all(pattern) and _reaches_all(pattern.T)
+
+
+def require_irreducible(matrix) -> None:
+    """Raise NotIrreducible unless ``is_irreducible(matrix)``.
+
+    Only a failure pays for the full ``structure`` report and the strongly
+    connected components that the error carries.
+    """
+    if not is_irreducible(matrix):
+        raise NotIrreducible(structure(matrix), strongly_connected_components(matrix))
 
 
 def strongly_connected_components(matrix) -> list[list[int]]:

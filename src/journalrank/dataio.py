@@ -12,7 +12,8 @@ Two files describe an instance:
 Counts are read with Python ``int()`` syntax: a sign, surrounding
 whitespace, ``_`` digit separators and any Unicode decimal digits are
 accepted, and ``1.5``, ``1e3``, ``nan`` or an empty cell is rejected with
-``NonIntegerCount``. Ids are
+``NonIntegerCount``; a count beyond the float range (about 309 digits) is
+rejected with ``CountTooLarge``. Ids are
 written in full and matched exactly on read, so files for reduced instances
 (dropped journals) stay unambiguous. For a dataset with integral counts,
 writing then re-reading and re-writing reproduces the files byte for byte;
@@ -50,6 +51,11 @@ def _parse_count(text: str, what: str) -> int:
         value = int(text)
     except ValueError:
         raise _fail("NonIntegerCount", f"{what} is not an integer: {text!r}") from None
+    try:
+        float(value)
+    except OverflowError:
+        digits = len(str(abs(value)))
+        raise _fail("CountTooLarge", f"{what} has {digits} digits, too large for a float") from None
     return value
 
 

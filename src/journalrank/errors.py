@@ -50,34 +50,37 @@ class IndexOutOfRange(JournalRankError, IndexError):
         super().__init__(f"journal index {index} out of range for {n} journals")
 
 
-class ZeroArticles(JournalRankError):
+class _ZeroCount(JournalRankError):
+    """A journal whose zero count an indicator cannot divide by.
+
+    Subclasses set ``what``, the message tail after the journal label.
+    """
+
+    what = ""
+
+    def __init__(self, index: int, journal_id: str | None = None):
+        self.index = index
+        self.journal_id = journal_id
+        label = f"{journal_id!r} (index {index})" if journal_id else f"index {index}"
+        super().__init__(f"journal {label} {self.what}")
+
+
+class ZeroArticles(_ZeroCount):
     """A per-article indicator needs articles in the earlier period."""
 
-    def __init__(self, index: int, journal_id: str | None = None):
-        self.index = index
-        self.journal_id = journal_id
-        label = f"{journal_id!r} (index {index})" if journal_id else f"index {index}"
-        super().__init__(f"journal {label} published no articles in the earlier period")
+    what = "published no articles in the earlier period"
 
 
-class ZeroArticlesT2(JournalRankError):
+class ZeroArticlesT2(_ZeroCount):
     """Citing-side weights need articles in the later period."""
 
-    def __init__(self, index: int, journal_id: str | None = None):
-        self.index = index
-        self.journal_id = journal_id
-        label = f"{journal_id!r} (index {index})" if journal_id else f"index {index}"
-        super().__init__(f"journal {label} published no articles in the later period")
+    what = "published no articles in the later period"
 
 
-class ZeroOutgoing(JournalRankError):
+class ZeroOutgoing(_ZeroCount):
     """A journal has no outgoing citations (dangling row)."""
 
-    def __init__(self, index: int, journal_id: str | None = None):
-        self.index = index
-        self.journal_id = journal_id
-        label = f"{journal_id!r} (index {index})" if journal_id else f"index {index}"
-        super().__init__(f"journal {label} has no outgoing citations")
+    what = "has no outgoing citations"
 
 
 class NotIrreducible(JournalRankError):

@@ -23,23 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from . import core, spectral
 from .errors import ZeroArticles, ZeroArticlesT2, ZeroOutgoing
-
-KIND_BASIS = {
-    "IF": "per_article",
-    "AF": "per_article",
-    "IW": "per_reference",
-    "IPP": "per_article",
-    "EF": "total",
-    "AI": "per_article",
-    "WPR": "total",
-    "SJR": "per_article",
-}
 
 DEFAULT_ALPHA = 0.85
 DEFAULT_BETA = 0.9
@@ -62,7 +51,7 @@ class IndicatorVector:
     basis: str = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in KIND_BASIS:
+        if not self.kind.isupper() or self.kind.lower() not in KINDS:
             raise ValueError(f"unknown indicator kind {self.kind!r}")
         values = np.array(self.values, dtype=float)
         if values.ndim != 1:
@@ -77,7 +66,7 @@ class IndicatorVector:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
-        object.__setattr__(self, "basis", KIND_BASIS[self.kind])
+        object.__setattr__(self, "basis", KINDS[self.kind.lower()].basis)
         if self.kind == "EF" and abs(values.sum() - 100.0) > 1e-6:
             raise ValueError("EF scores must sum to 100")
 
@@ -94,31 +83,13 @@ class IndicatorVector:
         return self.kind
 
 
-def _articles_t1(journals: core.JournalSet) -> np.ndarray:
-    a1 = journals.articles_t1
-    zero = np.flatnonzero(a1 == 0)
+def _nonzero(values: np.ndarray, journals: core.JournalSet, error) -> np.ndarray:
+    """Return values, or raise error for the first journal whose value is 0."""
+    zero = np.flatnonzero(values == 0)
     if zero.size:
         i = int(zero[0])
-        raise ZeroArticles(i, journals.journals[i].id)
-    return a1
-
-
-def _articles_t2(journals: core.JournalSet) -> np.ndarray:
-    a2 = journals.articles_t2
-    zero = np.flatnonzero(a2 == 0)
-    if zero.size:
-        i = int(zero[0])
-        raise ZeroArticlesT2(i, journals.journals[i].id)
-    return a2
-
-
-def _outgoing(journals: core.JournalSet, matrix: core.CitationMatrix) -> np.ndarray:
-    sums = matrix.row_sums
-    zero = np.flatnonzero(sums == 0)
-    if zero.size:
-        i = int(zero[0])
-        raise ZeroOutgoing(i, journals.journals[i].id)
-    return sums
+        raise error(i, journals.journals[i].id)
+    return values
 
 
 def _article_share(journals: core.JournalSet) -> np.ndarray:
@@ -131,7 +102,7 @@ def _article_share(journals: core.JournalSet) -> np.ndarray:
 
 def impact_factor(journals: core.JournalSet, matrix: core.CitationMatrix) -> IndicatorVector:
     """Received citations per earlier-period article."""
-    a1 = _articles_t1(journals)
+    a1 = _nonzero(journals.articles_t1, journals, ZeroArticles)
     received = matrix.counts.sum(axis=0)
     return IndicatorVector("IF", received / a1)
 
@@ -143,9 +114,9 @@ def audience_factor(journals: core.JournalSet, matrix: core.CitationMatrix) -> I
     A citation from a journal with many references per article counts less;
     journals that cite at the average rate contribute with weight one.
     """
-    a1 = _articles_t1(journals)
-    a2 = _articles_t2(journals)
-    sums = _outgoing(journals, matrix)
+    a1 = _nonzero(journals.articles_t1, journals, ZeroArticles)
+    a2 = _nonzero(journals.articles_t2, journals, ZeroArticlesT2)
+    sums = _nonzero(matrix.row_sums, journals, ZeroOutgoing)
     per_journal_rate = sums / a2
     overall_rate = sums.sum() / a2.sum()
     weights = overall_rate / per_journal_rate
@@ -164,7 +135,7 @@ def influence_weights(
     and is scaled so that the citation-weighted mean weight is one:
     sum_i w[i] * s[i] equals sum_i s[i].
     """
-    sums = _outgoing(journals, matrix)
+    sums = _nonzero(matrix.row_sums, journals, ZeroOutgoing)
     direction, report = spectral.solve_iw_eigensystem(matrix, solver)
     scale = sums.sum() / float(direction @ sums)
     return IndicatorVector("IW", direction * scale, solver=report)
@@ -183,7 +154,7 @@ def influence_per_publication(
     move when an insignificant journal enters or leaves the set; multiply by
     the journal count to recover the classic per-reference-mean scale.
     """
-    a1 = _articles_t1(journals)
+    a1 = _nonzero(journals.articles_t1, journals, ZeroArticles)
     iw = influence_weights(journals, matrix, solver)
     values = iw.values * matrix.row_sums / (journals.n * a1)
     return IndicatorVector("IPP", values, solver=iw.solver)
@@ -204,7 +175,7 @@ def eigenfactor(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    _outgoing(journals, matrix)
+    _nonzero(matrix.row_sums, journals, ZeroOutgoing)
     shares = spectral.reference_shares(matrix)
     teleport = _article_share(journals)
     p, report = spectral.stationary(shares, alpha, teleport, solver)
@@ -221,7 +192,7 @@ def article_influence(
     """Damped stationary score per article: the 0-to-1 damping sweep of this
     indicator interpolates between audience-factor-like and recursive
     influence-like behavior."""
-    a1 = _articles_t1(journals)
+    a1 = _nonzero(journals.articles_t1, journals, ZeroArticles)
     ef = eigenfactor(journals, matrix, alpha, solver)
     return IndicatorVector("AI", ef.values / (100.0 * a1), {"alpha": alpha}, ef.solver)
 
@@ -242,19 +213,19 @@ def weighted_pagerank(
     """
     if beta < 0 or gamma < 0 or beta + gamma > 1 + 1e-12:
         raise ValueError("need beta >= 0, gamma >= 0 and beta + gamma <= 1")
-    _outgoing(journals, matrix)
+    _nonzero(matrix.row_sums, journals, ZeroOutgoing)
     shares = spectral.reference_shares(matrix)
     n = journals.n
     if beta == 1.0:
         teleport = np.full(n, 1.0 / n)
-        r, report = spectral.stationary(shares, 1.0, teleport, solver)
     else:
-        uniform_part = (1.0 - beta - gamma) / n
-        mix = np.full(n, uniform_part)
+        # At beta + gamma = 1 the subtraction can round to -1e-17; clamp it so
+        # a journal without earlier-period articles keeps a zero teleport.
+        mix = np.full(n, max(0.0, 1.0 - beta - gamma) / n)
         if gamma > 0:
             mix = mix + gamma * _article_share(journals)
         teleport = mix / (1.0 - beta)
-        r, report = spectral.stationary(shares, beta, teleport, solver)
+    r, report = spectral.stationary(shares, beta, teleport, solver)
     return IndicatorVector("WPR", r, {"beta": beta, "gamma": gamma}, report)
 
 
@@ -266,14 +237,36 @@ def scimago_jr(
     solver: spectral.SolverConfig | None = None,
 ) -> IndicatorVector:
     """Weighted-PageRank score divided by the earlier-period article count."""
-    a1 = _articles_t1(journals)
+    a1 = _nonzero(journals.articles_t1, journals, ZeroArticles)
     wpr = weighted_pagerank(journals, matrix, beta, gamma, solver)
     return IndicatorVector("SJR", wpr.values / a1, {"beta": beta, "gamma": gamma}, wpr.solver)
 
 
-_PLAIN_KINDS = {"if": impact_factor, "af": audience_factor}
-_ALPHA_KINDS = {"ef": eigenfactor, "ai": article_influence}
-_SOLVED_KINDS = {"iw": influence_weights, "ipp": influence_per_publication}
+class Kind(NamedTuple):
+    """One indicator kind: its function, score basis and parameters.
+
+    ``params`` maps each keyword parameter to its default, None where the
+    caller must give a value. Functions with ``solved`` set also take the
+    solver configuration.
+    """
+
+    function: Callable[..., IndicatorVector]
+    basis: str
+    params: Mapping[str, float | None]
+    solved: bool = True
+
+
+# Lower-case kind token -> Kind, in the order the CLI lists the kinds.
+KINDS = {
+    "if": Kind(impact_factor, "per_article", {}, solved=False),
+    "af": Kind(audience_factor, "per_article", {}, solved=False),
+    "iw": Kind(influence_weights, "per_reference", {}),
+    "ipp": Kind(influence_per_publication, "per_article", {}),
+    "ef": Kind(eigenfactor, "total", {"alpha": DEFAULT_ALPHA}),
+    "ai": Kind(article_influence, "per_article", {"alpha": DEFAULT_ALPHA}),
+    "wpr": Kind(weighted_pagerank, "total", {"beta": None, "gamma": None}),
+    "sjr": Kind(scimago_jr, "per_article", {"beta": DEFAULT_BETA, "gamma": DEFAULT_GAMMA}),
+}
 
 
 def compute(
@@ -286,35 +279,29 @@ def compute(
     gamma: float | None = None,
     solver: spectral.SolverConfig | None = None,
 ) -> IndicatorVector:
-    """Dispatch by lower-case kind token: if, af, iw, ipp, ef, ai, wpr, sjr.
+    """Dispatch by lower-case kind token, one of the keys of ``KINDS``.
 
-    Rejects parameters that do not belong to the requested indicator.
+    Rejects parameters that do not belong to the requested indicator and
+    fills the ones not given from the kind's defaults.
     """
     token = kind.lower()
-    if token in _PLAIN_KINDS or token in _SOLVED_KINDS:
-        if alpha is not None or beta is not None or gamma is not None:
-            raise ValueError(f"indicator {token!r} takes no parameters")
-        if token in _PLAIN_KINDS:
-            return _PLAIN_KINDS[token](journals, matrix)
-        return _SOLVED_KINDS[token](journals, matrix, solver)
-    if token in _ALPHA_KINDS:
-        if beta is not None or gamma is not None:
-            raise ValueError(f"indicator {token!r} takes alpha only")
-        return _ALPHA_KINDS[token](journals, matrix, DEFAULT_ALPHA if alpha is None else alpha, solver)
-    if token == "wpr":
-        if alpha is not None:
-            raise ValueError("indicator 'wpr' takes beta and gamma, not alpha")
-        if beta is None or gamma is None:
-            raise ValueError("indicator 'wpr' needs both beta and gamma")
-        return weighted_pagerank(journals, matrix, beta, gamma, solver)
-    if token == "sjr":
-        if alpha is not None:
-            raise ValueError("indicator 'sjr' takes beta and gamma, not alpha")
-        return scimago_jr(
-            journals,
-            matrix,
-            DEFAULT_BETA if beta is None else beta,
-            DEFAULT_GAMMA if gamma is None else gamma,
-            solver,
-        )
-    raise ValueError(f"unknown indicator kind {kind!r}")
+    if token not in KINDS:
+        raise ValueError(f"unknown indicator kind {kind!r}")
+    spec = KINDS[token]
+    names = tuple(spec.params)
+    given = {k: v for k, v in dict(alpha=alpha, beta=beta, gamma=gamma).items() if v is not None}
+    foreign = [name for name in given if name not in names]
+    if foreign:
+        if not names:
+            rule = "takes no parameters"
+        elif len(names) == 1:
+            rule = f"takes {names[0]} only"
+        else:
+            rule = f"takes {' and '.join(names)}, not {' and '.join(foreign)}"
+        raise ValueError(f"indicator {token!r} {rule}")
+    values = {name: given.get(name, default) for name, default in spec.params.items()}
+    if None in values.values():
+        raise ValueError(f"indicator {token!r} needs both {' and '.join(names)}")
+    if spec.solved:
+        return spec.function(journals, matrix, solver=solver, **values)
+    return spec.function(journals, matrix)

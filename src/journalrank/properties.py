@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, indicators, spectral
-from .errors import NotIrreducible, PreconditionViolated, ZeroOutgoing
+from .errors import PreconditionViolated, ZeroOutgoing
 
 _BOUND_SLACK = 1e-12
 _ETA_TOLERANCE = 1e-12
@@ -299,8 +299,7 @@ def ipp_endpoint_check(
 ) -> ProportionalityReport:
     """Verify the per-article influence matches the fully damped per-article
     stationary score up to one constant. Requires an irreducible matrix."""
-    if not core.is_irreducible(matrix):
-        raise NotIrreducible(core.structure(matrix), core.strongly_connected_components(matrix))
+    core.require_irreducible(matrix)
     ipp = indicators.influence_per_publication(journals, matrix, solver)
     ai1 = indicators.article_influence(journals, matrix, alpha=1.0, solver=solver)
     return _ratio_report(ipp.values, ai1.values, threshold)

@@ -9,7 +9,7 @@ The power path picks its matvec from the input. Below SPARSE_DENSITY
 non-zero cells, each solve extracts the non-zeros once as (row, col, value)
 triplets and every step is one ``np.bincount`` over them; denser inputs use
 the dense ``x @ shares``. An alpha = 1 solve first checks irreducibility
-with ``core.is_irreducible``; the full ``core.structure`` report and the
+with ``core.require_irreducible``; the full ``core.structure`` report and the
 strongly connected components are computed only to describe a failure.
 """
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .errors import NoConvergence, NotIrreducible, ZeroOutgoing
+from .errors import NoConvergence, ZeroOutgoing
 
 DIRECT_LIMIT = 64
 # Share of non-zero cells below which the power path iterates over the
@@ -84,11 +84,6 @@ def reference_shares(matrix: core.CitationMatrix) -> np.ndarray:
     if dangling.size:
         raise ZeroOutgoing(int(dangling[0]))
     return matrix.counts / sums[:, None]
-
-
-def _require_irreducible(shares: np.ndarray) -> None:
-    if not core.is_irreducible(shares):
-        raise NotIrreducible(core.structure(shares), core.strongly_connected_components(shares))
 
 
 def _direct(shares: np.ndarray, alpha: float, teleport: np.ndarray):
@@ -202,7 +197,7 @@ def stationary(
     if alpha == 0.0:
         return teleport.copy(), SolverReport(0, 0.0, "exact")
     if alpha == 1.0:
-        _require_irreducible(shares)
+        core.require_irreducible(shares)
 
     method = config.method
     if method == "auto":

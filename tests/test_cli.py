@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import journalrank as jr
-from journalrank import core, dataio
+from journalrank import core, dataio, indicators
 from journalrank.cli import main
 
 # Golden CSV for the bundled two-field dataset at display precision 3.
@@ -112,6 +112,7 @@ class TestCompute:
         assert code == 1
         record = json.loads(err)
         assert record["error"] == "ValueError"
+        assert record["message"] == "indicator 'if' takes no parameters"
 
     def test_missing_file_exits_one(self, capsys, tmp_path):
         code, _, err = run(
@@ -151,6 +152,33 @@ class TestCompute:
             '"issues": [{"code": "NegativeCount", "message": "matrix cell (1, 1) is negative", '
             '"journal": null, "cell": [1, 1]}]}\n'
         )
+
+    @pytest.mark.parametrize("bad_file", ["matrix", "journals"])
+    def test_count_beyond_float_range_is_a_validation_record(self, capsys, tmp_path, bad_file):
+        huge = "9" * 400
+        a2 = huge if bad_file == "journals" else "5"
+        cell = huge if bad_file == "matrix" else "2"
+        (tmp_path / "journals.csv").write_text(f"id,name,articles_t1,articles_t2\na,,5,{a2}\nb,,5,5\n")
+        (tmp_path / "matrix.csv").write_text(f"citing\\cited,a,b\na,1,{cell}\nb,3,4\n")
+        code, out, err = run(
+            capsys,
+            "compute",
+            "--journals",
+            str(tmp_path / "journals.csv"),
+            "--matrix",
+            str(tmp_path / "matrix.csv"),
+            "--indicator",
+            "if",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "ValidationError"
+        (issue,) = record["issues"]
+        assert issue["code"] == "CountTooLarge"
+        where = "articles_t2 of 'a'" if bad_file == "journals" else "citation count ('a' -> 'b')"
+        assert issue["message"] == f"{where} has 400 digits, too large for a float"
 
     def test_huge_invalid_matrix_gives_a_bounded_record(self, capsys, tmp_path):
         n = 300
@@ -214,6 +242,17 @@ class TestCompute:
         assert record["error"] == "NotIrreducible"
         assert sorted(map(sorted, record["components"])) == [[0], [1]]
 
+    def test_indicator_choices_are_the_kinds_table(self, capsys, dataset):
+        assert tuple(indicators.KINDS) == ("if", "af", "iw", "ipp", "ef", "ai", "wpr", "sjr")
+        for command in ("compute", "sensitivity", "field-check"):
+            code, out, _ = run(capsys, command, "--help")
+            assert code == 0
+            assert "{if,af,iw,ipp,ef,ai,wpr,sjr}" in out
+        for kind in ("IF", "nope", "ai:0.5"):
+            code, out, err = run(capsys, "compute", *base_args(dataset), "--indicator", kind)
+            assert (code, out) == (1, "")
+            assert "invalid choice" in err
+
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
@@ -274,6 +313,14 @@ class TestCorrelate:
         code, _, err = run(capsys, "correlate", *base_args(dataset), "--indicators", "if")
         assert code == 1
         assert json.loads(err)["error"] == "ValueError"
+        assert json.loads(err)["message"] == "need at least two indicators to correlate"
+        for tokens, bad in (("if:3,af", "if:3"), ("ai:1,2,if", "ai:1,2"), ("wpr:0.9,af", "wpr:0.9")):
+            code, out, err = run(capsys, "correlate", *base_args(dataset), "--indicators", tokens)
+            assert (code, out) == (1, "")
+            assert json.loads(err) == {
+                "error": "ValueError",
+                "message": f"bad parameters in indicator token {bad!r}",
+            }
 
 
 class TestSensitivity:

@@ -5,7 +5,7 @@ import pytest
 
 import journalrank as jr
 from journalrank import core
-from journalrank.errors import IndexOutOfRange, ValidationError
+from journalrank.errors import IndexOutOfRange, NotIrreducible, ValidationError
 
 
 def journals_of(*triples):
@@ -159,6 +159,13 @@ class TestIsIrreducible:
         matrix = jr.CitationMatrix(np.array(counts))
         assert core.is_irreducible(matrix) is expected
         assert jr.structure(matrix).irreducible is expected
+        if expected:
+            assert core.require_irreducible(matrix) is None
+        else:
+            with pytest.raises(NotIrreducible) as err:
+                core.require_irreducible(matrix)
+            assert err.value.report == jr.structure(matrix)
+            assert err.value.components == (core.strongly_connected_components(matrix) or None)
 
     def test_matches_tarjan_on_seeded_random_graphs(self):
         rng = np.random.default_rng(11)

@@ -52,6 +52,7 @@ class TestImpactFactor:
         with pytest.raises(ZeroArticles) as err:
             jr.impact_factor(journals, jr.CitationMatrix(np.ones((2, 2))))
         assert err.value.journal_id == "a"
+        assert str(err.value) == "journal 'a' (index 0) published no articles in the earlier period"
 
 
 class TestAudienceFactor:
@@ -84,8 +85,10 @@ class TestAudienceFactor:
 
     def test_zero_later_articles_rejected(self):
         journals = jr.JournalSet((jr.Journal("a", None, 5, 0), jr.Journal("b", None, 5, 5)))
-        with pytest.raises(ZeroArticlesT2):
+        with pytest.raises(ZeroArticlesT2) as err:
             jr.audience_factor(journals, jr.CitationMatrix(np.ones((2, 2))))
+        assert (err.value.index, err.value.journal_id) == (0, "a")
+        assert str(err.value) == "journal 'a' (index 0) published no articles in the later period"
 
     def test_dangling_row_rejected(self):
         journals = jr.JournalSet((jr.Journal("a", None, 5, 5), jr.Journal("b", None, 5, 5)))
@@ -93,6 +96,12 @@ class TestAudienceFactor:
         with pytest.raises(ZeroOutgoing) as err:
             jr.audience_factor(journals, matrix)
         assert err.value.index == 0
+        assert str(err.value) == "journal 'a' (index 0) has no outgoing citations"
+        # The share matrix has no journal ids to name, only the index.
+        with pytest.raises(ZeroOutgoing) as err:
+            jr.reference_shares(matrix)
+        assert (err.value.index, err.value.journal_id) == (0, None)
+        assert str(err.value) == "journal index 0 has no outgoing citations"
 
 
 class TestInfluenceWeights:
@@ -238,6 +247,22 @@ class TestWeightedPagerank:
             with pytest.raises(ValueError):
                 jr.weighted_pagerank(journals, matrix, beta, gamma)
 
+    @pytest.mark.parametrize("beta, gamma", [(0.9, 0.1), (0.8, 0.2), (0.7, 0.3)])
+    def test_beta_plus_gamma_one_with_a_journal_without_articles(self, two_field, beta, gamma):
+        # 1 - beta - gamma rounds to -2.8e-17 for the first two pairs; the
+        # journal without earlier-period articles must still get a zero
+        # teleport share, not a negative one.
+        journals, matrix = two_field
+        first = journals.journals[0]
+        journals = jr.JournalSet(
+            (jr.Journal(first.id, first.name, 0, first.articles_t2),) + journals.journals[1:]
+        )
+        share = journals.articles_t1 / journals.articles_t1.sum()
+        expected, _ = jr.stationary(jr.reference_shares(matrix), beta, share, DIRECT)
+        for solver in (DIRECT, SolverConfig(method="power")):
+            vector = jr.weighted_pagerank(journals, matrix, beta, gamma, solver)
+            np.testing.assert_allclose(vector.values, expected, rtol=1e-9, atol=1e-15)
+
 
 class TestScimagoJr:
     def test_teleport_only_gives_identical_scores(self, zoo):
@@ -345,14 +370,26 @@ class TestIndicatorVector:
 class TestComputeDispatcher:
     def test_rejects_foreign_parameters(self, two_field):
         journals, matrix = two_field
-        with pytest.raises(ValueError):
-            jr.compute("if", journals, matrix, alpha=0.5)
-        with pytest.raises(ValueError):
-            jr.compute("ai", journals, matrix, beta=0.5)
-        with pytest.raises(ValueError):
-            jr.compute("wpr", journals, matrix, beta=0.5)  # gamma missing
-        with pytest.raises(ValueError):
-            jr.compute("nope", journals, matrix)
+        for kind, params, message in (
+            ("if", {"alpha": 0.5}, "indicator 'if' takes no parameters"),
+            ("af", {"beta": 0.5}, "indicator 'af' takes no parameters"),
+            ("iw", {"gamma": 0.1}, "indicator 'iw' takes no parameters"),
+            ("IPP", {"alpha": 1.0}, "indicator 'ipp' takes no parameters"),
+            ("ef", {"beta": 0.5}, "indicator 'ef' takes alpha only"),
+            ("ai", {"beta": 0.5}, "indicator 'ai' takes alpha only"),
+            ("ai", {"alpha": 0.5, "gamma": 0.1}, "indicator 'ai' takes alpha only"),
+            ("wpr", {"alpha": 0.5, "beta": 0.5, "gamma": 0.1}, "indicator 'wpr' takes beta and gamma, not alpha"),
+            ("wpr", {"alpha": 0.5}, "indicator 'wpr' takes beta and gamma, not alpha"),
+            ("sjr", {"alpha": 0.5}, "indicator 'sjr' takes beta and gamma, not alpha"),
+            ("wpr", {"beta": 0.5}, "indicator 'wpr' needs both beta and gamma"),
+            ("wpr", {"gamma": 0.5}, "indicator 'wpr' needs both beta and gamma"),
+            ("wpr", {}, "indicator 'wpr' needs both beta and gamma"),
+            ("nope", {}, "unknown indicator kind 'nope'"),
+            ("Nope", {"alpha": 0.5}, "unknown indicator kind 'Nope'"),
+        ):
+            with pytest.raises(ValueError) as err:
+                jr.compute(kind, journals, matrix, **params)
+            assert str(err.value) == message, (kind, params)
 
     def test_defaults(self, two_field):
         journals, matrix = two_field
