@@ -59,7 +59,7 @@ from .properties import (
     leave_one_out,
     min_delta,
 )
-from .spectral import SolverConfig, SolverReport, reference_shares, solve_iw_eigensystem, stationary
+from .spectral import SolverConfig, SolverReport, reference_shares, stationary
 from .synth import (
     BlockModelSpec,
     block_model,
@@ -119,7 +119,6 @@ __all__ = [
     "pearson",
     "reference_shares",
     "scimago_jr",
-    "solve_iw_eigensystem",
     "spearman",
     "stationary",
     "strongly_connected_components",

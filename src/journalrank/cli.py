@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -146,20 +148,13 @@ def _cmd_compute(args) -> int:
     vector = _compute(args, journals, matrix)
     precision = _csv_precision(args)
     rows = ([ident, _fmt(value, precision)] for ident, value in zip(journals.ids, vector.values))
-    solver = None
-    if vector.solver is not None:
-        solver = {
-            "iterations": vector.solver.iterations,
-            "residual": vector.solver.residual,
-            "method_used": vector.solver.method_used,
-        }
     payload = {
         "indicator": args.indicator,
         "params": dict(vector.params),
         "values": {
             ident: _round(value, args.precision) for ident, value in zip(journals.ids, vector.values)
         },
-        "solver": solver,
+        "solver": None if vector.solver is None else dataclasses.asdict(vector.solver),
     }
     return _emit(args, ["id", "value"], rows, payload)
 
@@ -252,7 +247,7 @@ def _cmd_sensitivity(args) -> int:
             ident,
             _fmt(before, precision),
             _fmt(after, precision),
-            _fmt(rel, precision) if _finite(rel) else "",
+            "" if math.isnan(rel) else _fmt(rel, precision),
         ]
         for ident, before, after, rel in zip(
             survivor_ids, report.before, report.after, report.relative_change
@@ -263,16 +258,12 @@ def _cmd_sensitivity(args) -> int:
         "before": {i: _round(v, args.precision) for i, v in zip(survivor_ids, report.before)},
         "after": {i: _round(v, args.precision) for i, v in zip(survivor_ids, report.after)},
         "relative_change": {
-            i: (_round(v, args.precision) if _finite(v) else None)
+            i: (None if math.isnan(v) else _round(v, args.precision))
             for i, v in zip(survivor_ids, report.relative_change)
         },
         "max_relative_change": _round(report.max_relative_change, args.precision),
     }
     return _emit(args, ["id", "before", "after", "relative_change"], rows, payload)
-
-
-def _finite(value: float) -> bool:
-    return value == value  # NaN check without numpy import
 
 
 def _cmd_field_check(args) -> int:

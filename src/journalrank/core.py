@@ -8,7 +8,7 @@ The citation matrix follows the row = citing, column = cited convention:
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,7 +100,6 @@ class StructureReport:
     """Connectivity facts about the citation graph's non-zero pattern."""
 
     irreducible: bool
-    aperiodic: bool
     dangling_rows: tuple[int, ...]
     zero_columns: tuple[int, ...]
 
@@ -270,40 +269,12 @@ def strongly_connected_components(matrix) -> list[list[int]]:
     return components
 
 
-def _component_period(counts: np.ndarray, component: list[int]) -> int:
-    """gcd of directed cycle lengths inside one strongly connected component.
-
-    Returns 0 when the component contains no cycle (a singleton without a
-    self-loop). Uses BFS levels: every edge (u, v) inside the component
-    contributes level(u) + 1 - level(v) to the gcd.
-    """
-    members = set(component)
-    root = component[0]
-    level = {root: 0}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in np.nonzero(counts[u] > 0)[0]:
-            v = int(v)
-            if v in members and v not in level:
-                level[v] = level[u] + 1
-                queue.append(v)
-    g = 0
-    for u in component:
-        for v in np.nonzero(counts[u] > 0)[0]:
-            v = int(v)
-            if v in members:
-                g = math.gcd(g, level[u] + 1 - level[v])
-    return abs(g)
-
-
 def structure(matrix) -> StructureReport:
-    """Structural preflight report: connectivity, periodicity, degenerate rows/columns.
+    """Structural preflight report: connectivity, degenerate rows/columns.
 
-    Depends only on the zero/non-zero pattern. A graph with no directed
-    cycle at all is reported as not aperiodic (there is no cycle length to
-    take a gcd of). A single journal counts as irreducible only when it
-    cites itself.
+    Depends only on the zero/non-zero pattern. A single journal counts as
+    irreducible only when it cites itself. Periodicity is not reported: no
+    solver needs it, since the alpha = 1 power path takes lazy half-steps.
     """
     counts = _counts_of(matrix)
     n = counts.shape[0]
@@ -313,14 +284,11 @@ def structure(matrix) -> StructureReport:
     else:
         irreducible = len(components) == 1
 
-    periods = [p for p in (_component_period(counts, c) for c in components) if p > 0]
-    aperiodic = bool(periods) and all(p == 1 for p in periods)
-
     row_sums = counts.sum(axis=1)
     col_sums = counts.sum(axis=0)
     dangling = tuple(int(i) for i in np.flatnonzero(row_sums == 0))
     zero_cols = tuple(int(i) for i in np.flatnonzero(col_sums == 0))
-    return StructureReport(irreducible, aperiodic, dangling, zero_cols)
+    return StructureReport(irreducible, dangling, zero_cols)
 
 
 def drop_journal(

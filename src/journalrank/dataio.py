@@ -12,13 +12,14 @@ Two files describe an instance:
 Counts are read with Python ``int()`` syntax: a sign, surrounding
 whitespace, ``_`` digit separators and any Unicode decimal digits are
 accepted, and ``1.5``, ``1e3``, ``nan`` or an empty cell is rejected with
-``NonIntegerCount``; a count beyond the float range (about 309 digits) is
-rejected with ``CountTooLarge``. Ids are
-written in full and matched exactly on read, so files for reduced instances
-(dropped journals) stay unambiguous. For a dataset with integral counts,
-writing then re-reading and re-writing reproduces the files byte for byte;
-a matrix with a non-integral count is written (``1.5``) but cannot be read
-back.
+``NonIntegerCount`` (the message quotes at most 40 characters of the
+cell); a count beyond the float range (about 309 digits, or more digits
+than ``int()`` converts) is rejected with ``CountTooLarge``. Ids are
+written in full and matched exactly on read, so files for reduced
+instances (dropped journals) stay unambiguous. For a dataset with integral
+counts, writing then re-reading and re-writing reproduces the files byte
+for byte; a matrix with a non-integral count is written (``1.5``) but
+cannot be read back.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .properties import FieldPartition
 JOURNALS_HEADER = ["id", "name", "articles_t1", "articles_t2"]
 MATRIX_CORNER = "citing\\cited"
 PARTITION_HEADER = ["id", "field"]
+# Characters of a bad count cell that its error message quotes.
+_QUOTE_LIMIT = 40
 
 
 def _fail(code: str, message: str, **kw) -> ValidationError:
@@ -46,17 +49,31 @@ def _read_rows(path: str | Path) -> list[list[str]]:
         return list(csv.reader(handle))
 
 
+def _quote(text: str) -> str:
+    """repr of a cell, or of its first _QUOTE_LIMIT characters and its length."""
+    if len(text) <= _QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:_QUOTE_LIMIT]!r}… ({len(text)} characters)"
+
+
 def _parse_count(text: str, what: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise _fail("NonIntegerCount", f"{what} is not an integer: {text!r}") from None
-    try:
-        float(value)
-    except OverflowError:
-        digits = len(str(abs(value)))
-        raise _fail("CountTooLarge", f"{what} has {digits} digits, too large for a float") from None
-    return value
+        body = text.strip()
+        digits = body[1:] if body[:1] in ("+", "-") else body
+        if not digits.isdecimal():
+            raise _fail("NonIntegerCount", f"{what} is not an integer: {_quote(text)}") from None
+        # int() refuses a run of digits only beyond its length cap (4300 by
+        # default); leading zeros aside, that is far beyond the float range.
+        size = len(digits)
+    else:
+        try:
+            float(value)
+            return value
+        except OverflowError:
+            size = len(str(abs(value)))
+    raise _fail("CountTooLarge", f"{what} has {size} digits, too large for a float")
 
 
 def read_journals(path: str | Path) -> JournalSet:

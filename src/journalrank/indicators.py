@@ -133,10 +133,14 @@ def influence_weights(
 
     The returned vector w satisfies w[i] = sum_j w[j] * counts[j, i] / s[i]
     and is scaled so that the citation-weighted mean weight is one:
-    sum_i w[i] * s[i] equals sum_i s[i].
+    sum_i w[i] * s[i] equals sum_i s[i]. w is the undamped (alpha = 1)
+    stationary vector of the reference shares divided by the row sums.
     """
     sums = _nonzero(matrix.row_sums, journals, ZeroOutgoing)
-    direction, report = spectral.solve_iw_eigensystem(matrix, solver)
+    shares = spectral.reference_shares(matrix)
+    uniform = np.full(matrix.n, 1.0 / matrix.n)
+    q, report = spectral.stationary(shares, 1.0, uniform, solver)
+    direction = q / sums
     scale = sums.sum() / float(direction @ sums)
     return IndicatorVector("IW", direction * scale, solver=report)
 
@@ -211,7 +215,8 @@ def weighted_pagerank(
     with sum(r) = 1. beta = 1 (hence gamma = 0) is the pure eigen-problem
     and requires irreducibility.
     """
-    if beta < 0 or gamma < 0 or beta + gamma > 1 + 1e-12:
+    # Written so that a NaN beta or gamma fails the check too.
+    if not (beta >= 0 and gamma >= 0 and beta + gamma <= 1 + 1e-12):
         raise ValueError("need beta >= 0, gamma >= 0 and beta + gamma <= 1")
     _nonzero(matrix.row_sums, journals, ZeroOutgoing)
     shares = spectral.reference_shares(matrix)

@@ -206,17 +206,3 @@ def stationary(
         return _direct(shares, alpha, teleport)
     return _power(shares, alpha, teleport, config)
 
-
-def solve_iw_eigensystem(
-    matrix: core.CitationMatrix, config: SolverConfig | None = None
-) -> tuple[np.ndarray, SolverReport]:
-    """Positive direction of the recursive reference-weight system.
-
-    Returns the vector w (up to scale) satisfying
-    ``w[i] * s[i] = sum_j w[j] * counts[j, i]`` on an irreducible matrix,
-    together with the solver report. Callers apply their own normalization.
-    """
-    shares = reference_shares(matrix)
-    uniform = np.full(matrix.n, 1.0 / matrix.n)
-    q, report = stationary(shares, 1.0, uniform, config)
-    return q / matrix.row_sums, report

@@ -114,6 +114,15 @@ class TestCompute:
         assert record["error"] == "ValueError"
         assert record["message"] == "indicator 'if' takes no parameters"
 
+    def test_nan_beta_names_beta_and_gamma(self, capsys, dataset):
+        code, _, err = run(
+            capsys, "compute", *base_args(dataset), "--indicator", "wpr", "--beta", "nan", "--gamma", "0.05"
+        )
+        assert code == 1
+        record = json.loads(err)
+        assert record["error"] == "ValueError"
+        assert record["message"] == "need beta >= 0, gamma >= 0 and beta + gamma <= 1"
+
     def test_missing_file_exits_one(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -179,6 +188,33 @@ class TestCompute:
         assert issue["code"] == "CountTooLarge"
         where = "articles_t2 of 'a'" if bad_file == "journals" else "citation count ('a' -> 'b')"
         assert issue["message"] == f"{where} has 400 digits, too large for a float"
+
+    @pytest.mark.parametrize(
+        "cell, code, detail",
+        [
+            ("9" * 5000, "CountTooLarge", "has 5000 digits, too large for a float"),
+            ("x" * 5000, "NonIntegerCount", f"is not an integer: {'x' * 40!r}… (5000 characters)"),
+        ],
+        ids=["digits", "junk"],
+    )
+    def test_long_count_cell_gives_a_bounded_record(self, capsys, tmp_path, cell, code, detail):
+        (tmp_path / "journals.csv").write_text("id,name,articles_t1,articles_t2\na,,5,5\nb,,5,5\n")
+        (tmp_path / "matrix.csv").write_text(f"citing\\cited,a,b\na,1,{cell}\nb,3,4\n")
+        code_, out, err = run(
+            capsys,
+            "compute",
+            "--journals",
+            str(tmp_path / "journals.csv"),
+            "--matrix",
+            str(tmp_path / "matrix.csv"),
+            "--indicator",
+            "if",
+        )
+        assert (code_, out) == (1, "")
+        assert len(err.encode()) < 1000
+        (issue,) = json.loads(err)["issues"]
+        assert issue["code"] == code
+        assert issue["message"] == f"citation count ('a' -> 'b') {detail}"
 
     def test_huge_invalid_matrix_gives_a_bounded_record(self, capsys, tmp_path):
         n = 300

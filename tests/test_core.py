@@ -94,7 +94,7 @@ class TestStructure:
     def test_two_field_fixture(self, two_field):
         _, matrix = two_field
         report = jr.structure(matrix)
-        assert report.irreducible and report.aperiodic
+        assert report.irreducible
         assert report.dangling_rows == () and report.zero_columns == ()
 
     def test_two_field_reachability_oracle(self, two_field):
@@ -110,12 +110,11 @@ class TestStructure:
 
     def test_pure_cycle_periodic(self):
         report = jr.structure(jr.CitationMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
-        assert report.irreducible and not report.aperiodic
+        assert report.irreducible
 
     def test_disconnected_self_loops(self):
         report = jr.structure(jr.CitationMatrix(np.array([[1.0, 0.0], [0.0, 1.0]])))
         assert not report.irreducible
-        assert report.aperiodic  # each component has a 1-cycle
 
     def test_dangling_and_zero_columns(self):
         counts = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
@@ -137,7 +136,7 @@ class TestStructure:
 
     def test_dag_has_no_cycles_hence_not_aperiodic(self):
         report = jr.structure(jr.CitationMatrix(np.array([[0.0, 1.0], [0.0, 0.0]])))
-        assert not report.irreducible and not report.aperiodic
+        assert not report.irreducible
 
 
 class TestIsIrreducible:

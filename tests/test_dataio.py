@@ -113,6 +113,16 @@ class TestPartitionFile:
         with pytest.raises(ValidationError):
             dataio.read_partition(tmp_path / "p.csv", journals)
 
+    def test_duplicate_id_rejected(self, tmp_path, two_field):
+        journals, _ = two_field
+        rows = ["id,field", "J1,1"] + [f"{i},2" for i in journals.ids]
+        (tmp_path / "p.csv").write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValidationError) as err:
+            dataio.read_partition(tmp_path / "p.csv", journals)
+        (issue,) = err.value.issues
+        assert (issue.code, issue.journal) == ("DuplicateId", "J1")
+        assert issue.message == "journal 'J1' assigned twice"
+
     def test_field_labels_restricted(self, tmp_path, two_field):
         journals, _ = two_field
         rows = ["id,field"] + [f"{i},3" for i in journals.ids]
@@ -167,6 +177,22 @@ class TestCountCells:
         (issue,) = err.value.issues
         assert issue.code == "NonIntegerCount"
         assert issue.message == f"citation count ('b' -> 'c') is not an integer: {cell!r}"
+
+    def test_long_bad_cell_is_quoted_in_part(self, tmp_path):
+        for cell, quoted in (("y" * 40, repr("y" * 40)), ("y" * 41, f"{'y' * 40!r}… (41 characters)")):
+            with pytest.raises(ValidationError) as err:
+                read_cells(tmp_path, ["1", "2", "3", "4", "5", cell, "7", "8", "9"])
+            assert err.value.issues[0].message == f"citation count ('b' -> 'c') is not an integer: {quoted}"
+
+    @pytest.mark.parametrize(
+        "cell", ["9" * 5000, "-" + "9" * 5000, " +" + "\u0663" * 5000], ids=["digits", "negative", "arabic_indic"]
+    )
+    def test_digits_beyond_the_int_conversion_cap_are_too_large(self, tmp_path, cell):
+        with pytest.raises(ValidationError) as err:
+            read_cells(tmp_path, ["1", "2", "3", "4", "5", cell, "7", "8", "9"])
+        (issue,) = err.value.issues
+        assert issue.code == "CountTooLarge"
+        assert issue.message == "citation count ('b' -> 'c') has 5000 digits, too large for a float"
 
     def test_first_bad_cell_in_row_major_order_is_reported(self, tmp_path):
         cells = ["1", "2", "3", "4", "99999999999999999999", "x", "7", "y", "9"]

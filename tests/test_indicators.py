@@ -12,6 +12,7 @@ from journalrank.indicators import IndicatorVector
 from journalrank.spectral import SolverConfig
 
 DIRECT = SolverConfig(method="direct")
+POWER = SolverConfig(method="power")
 
 ALL_KINDS = (
     ("if", {}),
@@ -243,9 +244,10 @@ class TestWeightedPagerank:
 
     def test_bad_parameters(self, two_field):
         journals, matrix = two_field
-        for beta, gamma in ((-0.1, 0.5), (0.5, -0.1), (0.7, 0.5)):
-            with pytest.raises(ValueError):
+        for beta, gamma in ((-0.1, 0.5), (0.5, -0.1), (0.7, 0.5), (np.nan, 0.05), (0.5, np.nan)):
+            with pytest.raises(ValueError) as err:
                 jr.weighted_pagerank(journals, matrix, beta, gamma)
+            assert str(err.value) == "need beta >= 0, gamma >= 0 and beta + gamma <= 1", (beta, gamma)
 
     @pytest.mark.parametrize("beta, gamma", [(0.9, 0.1), (0.8, 0.2), (0.7, 0.3)])
     def test_beta_plus_gamma_one_with_a_journal_without_articles(self, two_field, beta, gamma):
@@ -329,6 +331,52 @@ class TestCrossCuttingInvariants:
             after = jr.compute(kind, journals, scaled, **params).values
             factor = k if scales else 1.0
             np.testing.assert_allclose(after, factor * base, rtol=1e-9, err_msg=kind)
+
+
+def bipartite_cycle():
+    """Six journals, each citing the next one and the one opposite: every
+    citation goes between an even and an odd index, so the chain has period 2."""
+    counts = np.zeros((6, 6))
+    for i in range(6):
+        counts[i, (i + 1) % 6] = 1 + i
+        counts[i, (i + 3) % 6] = 2
+    journals = jr.JournalSet(tuple(jr.Journal(f"P{i}", None, 10 + i, 20 - i) for i in range(6)))
+    return journals, jr.CitationMatrix(counts)
+
+
+class TestEdgeCases:
+    def test_periodic_chain_direct_and_power_agree(self):
+        # Periodicity is no solver precondition: at alpha = 1 the power path
+        # takes lazy half-steps, which converge on a period-2 chain.
+        journals, matrix = bipartite_cycle()
+        assert all((i + j) % 2 == 1 for i, j in np.argwhere(matrix.counts > 0))
+        assert jr.structure(matrix).irreducible
+        for kind, params in (
+            ("iw", {}),
+            ("ipp", {}),
+            ("ef", {"alpha": 1.0}),
+            ("ai", {"alpha": 1.0}),
+            ("wpr", {"beta": 1.0, "gamma": 0.0}),
+        ):
+            direct = jr.compute(kind, journals, matrix, **params, solver=DIRECT)
+            power = jr.compute(kind, journals, matrix, **params, solver=POWER)
+            assert power.solver.method_used == "power", kind
+            assert np.abs(direct.values - power.values).max() < 1e-10, kind
+
+    def test_periodic_chain_passes_the_ipp_endpoint_check(self):
+        journals, matrix = bipartite_cycle()
+        for solver in (DIRECT, POWER):
+            assert jr.ipp_endpoint_check(journals, matrix, solver).passed
+
+    @pytest.mark.parametrize("kind,params", ALL_KINDS)
+    def test_single_self_citing_journal(self, kind, params):
+        journals, matrix = single_journal(5, a1=3, a2=3)
+        vector = jr.compute(kind, journals, matrix, **params)
+        assert vector.n == 1 and np.all(np.isfinite(vector.values)), kind
+        if kind == "iw":
+            np.testing.assert_array_equal(vector.values, [1.0])
+        if kind == "ef":
+            np.testing.assert_array_equal(vector.values, [100.0])
 
 
 class TestIndicatorVector:

