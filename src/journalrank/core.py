@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRange, Issue, NotIrreducible, ValidationError
+from .errors import IndexOutOfRange, Issue, NotIrreducible, ValidationError, quote
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class JournalSet:
         try:
             return self._index[journal_id]
         except KeyError:
-            raise KeyError(f"unknown journal id {journal_id!r}") from None
+            raise KeyError(f"unknown journal id {quote(journal_id)}") from None
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,6 @@ class StructureReport:
     """Connectivity facts about the citation graph's non-zero pattern."""
 
     irreducible: bool
-    dangling_rows: tuple[int, ...]
-    zero_columns: tuple[int, ...]
 
 
 MAX_ISSUES_PER_CODE = 20
@@ -133,7 +131,7 @@ def validate(journals: JournalSet, matrix: CitationMatrix) -> tuple[JournalSet, 
             add(
                 Issue(
                     "DuplicateId",
-                    f"journal id {journal.id!r} appears at indices {seen[journal.id]} and {k}",
+                    f"journal id {quote(journal.id)} appears at indices {seen[journal.id]} and {k}",
                     journal=journal.id,
                 )
             )
@@ -141,17 +139,13 @@ def validate(journals: JournalSet, matrix: CitationMatrix) -> tuple[JournalSet, 
             seen[journal.id] = k
         for label, count in (("articles_t1", journal.articles_t1), ("articles_t2", journal.articles_t2)):
             if not math.isfinite(count):
-                add(Issue("NonFiniteCount", f"{label} of journal {journal.id!r} is not finite", journal=journal.id))
+                add(Issue("NonFiniteCount", f"{label} of journal {quote(journal.id)} is not finite", journal=journal.id))
             elif count < 0:
-                add(Issue("NegativeCount", f"{label} of journal {journal.id!r} is negative", journal=journal.id))
+                add(Issue("NegativeCount", f"{label} of journal {quote(journal.id)} is negative", journal=journal.id))
 
-    if matrix.n != journals.n:
-        add(
-            Issue(
-                "DimensionMismatch",
-                f"journal set has {journals.n} journals but matrix is {matrix.n}x{matrix.n}",
-            )
-        )
+    mismatch = size_mismatch(journals, matrix)
+    if mismatch:
+        add(Issue("DimensionMismatch", mismatch))
 
     finite = np.isfinite(matrix.counts)
     for code, bad, what in (
@@ -168,6 +162,13 @@ def validate(journals: JournalSet, matrix: CitationMatrix) -> tuple[JournalSet, 
     if issues:
         raise ValidationError(issues, sum(found.values()))
     return journals, matrix
+
+
+def size_mismatch(journals: JournalSet, matrix: CitationMatrix) -> str | None:
+    """``validate``'s DimensionMismatch message, or None when the sizes agree."""
+    if matrix.n == journals.n:
+        return None
+    return f"journal set has {journals.n} journals but matrix is {matrix.n}x{matrix.n}"
 
 
 def _counts_of(matrix) -> np.ndarray:
@@ -270,25 +271,16 @@ def strongly_connected_components(matrix) -> list[list[int]]:
 
 
 def structure(matrix) -> StructureReport:
-    """Structural preflight report: connectivity, degenerate rows/columns.
+    """Structural preflight report: whether the pattern is strongly connected.
 
     Depends only on the zero/non-zero pattern. A single journal counts as
     irreducible only when it cites itself. Periodicity is not reported: no
     solver needs it, since the alpha = 1 power path takes lazy half-steps.
     """
     counts = _counts_of(matrix)
-    n = counts.shape[0]
-    components = strongly_connected_components(counts)
-    if n == 1:
-        irreducible = bool(counts[0, 0] > 0)
-    else:
-        irreducible = len(components) == 1
-
-    row_sums = counts.sum(axis=1)
-    col_sums = counts.sum(axis=0)
-    dangling = tuple(int(i) for i in np.flatnonzero(row_sums == 0))
-    zero_cols = tuple(int(i) for i in np.flatnonzero(col_sums == 0))
-    return StructureReport(irreducible, dangling, zero_cols)
+    if counts.shape[0] == 1:
+        return StructureReport(bool(counts[0, 0] > 0))
+    return StructureReport(len(strongly_connected_components(counts)) == 1)
 
 
 def drop_journal(

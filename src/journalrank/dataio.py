@@ -12,14 +12,15 @@ Two files describe an instance:
 Counts are read with Python ``int()`` syntax: a sign, surrounding
 whitespace, ``_`` digit separators and any Unicode decimal digits are
 accepted, and ``1.5``, ``1e3``, ``nan`` or an empty cell is rejected with
-``NonIntegerCount`` (the message quotes at most 40 characters of the
-cell); a count beyond the float range (about 309 digits, or more digits
-than ``int()`` converts) is rejected with ``CountTooLarge``. Ids are
-written in full and matched exactly on read, so files for reduced
-instances (dropped journals) stay unambiguous. For a dataset with integral
-counts, writing then re-reading and re-writing reproduces the files byte
-for byte; a matrix with a non-integral count is written (``1.5``) but
-cannot be read back.
+``NonIntegerCount``; a count beyond the float range (about 309 digits,
+or more digits than ``int()`` converts) is rejected with
+``CountTooLarge``. Error messages quote at most 40 characters of a cell
+or an id (``errors.quote``); an issue's ``journal`` keeps the exact id.
+Ids are written in full and matched exactly on read, so files for
+reduced instances (dropped journals) stay unambiguous. For a dataset with
+integral counts, writing then re-reading and re-writing reproduces the
+files byte for byte; a matrix with a non-integral count is written
+(``1.5``) but cannot be read back.
 """
 
 from __future__ import annotations
@@ -30,14 +31,14 @@ from pathlib import Path
 import numpy as np
 
 from .core import CitationMatrix, Journal, JournalSet
-from .errors import Issue, ValidationError
+from .errors import Issue, ValidationError, quote
 from .properties import FieldPartition
 
 JOURNALS_HEADER = ["id", "name", "articles_t1", "articles_t2"]
 MATRIX_CORNER = "citing\\cited"
 PARTITION_HEADER = ["id", "field"]
-# Characters of a bad count cell that its error message quotes.
-_QUOTE_LIMIT = 40
+# Missing or extra ids that a PartitionMismatch message lists.
+_LISTED_IDS = 5
 
 
 def _fail(code: str, message: str, **kw) -> ValidationError:
@@ -49,13 +50,6 @@ def _read_rows(path: str | Path) -> list[list[str]]:
         return list(csv.reader(handle))
 
 
-def _quote(text: str) -> str:
-    """repr of a cell, or of its first _QUOTE_LIMIT characters and its length."""
-    if len(text) <= _QUOTE_LIMIT:
-        return repr(text)
-    return f"{text[:_QUOTE_LIMIT]!r}… ({len(text)} characters)"
-
-
 def _parse_count(text: str, what: str) -> int:
     try:
         value = int(text)
@@ -63,7 +57,7 @@ def _parse_count(text: str, what: str) -> int:
         body = text.strip()
         digits = body[1:] if body[:1] in ("+", "-") else body
         if not digits.isdecimal():
-            raise _fail("NonIntegerCount", f"{what} is not an integer: {_quote(text)}") from None
+            raise _fail("NonIntegerCount", f"{what} is not an integer: {quote(text)}") from None
         # int() refuses a run of digits only beyond its length cap (4300 by
         # default); leading zeros aside, that is far beyond the float range.
         size = len(digits)
@@ -92,8 +86,8 @@ def read_journals(path: str | Path) -> JournalSet:
             Journal(
                 ident,
                 name or None,
-                _parse_count(a1, f"articles_t1 of {ident!r}"),
-                _parse_count(a2, f"articles_t2 of {ident!r}"),
+                _parse_count(a1, f"articles_t1 of {quote(ident)}"),
+                _parse_count(a2, f"articles_t2 of {quote(ident)}"),
             )
         )
     if not journals:
@@ -136,7 +130,7 @@ def read_matrix(path: str | Path, journals: JournalSet) -> CitationMatrix:
         if row[0] != ids[i]:
             raise _fail(
                 "HeaderMismatch",
-                f"matrix row {i} is labelled {row[0]!r}, expected {ids[i]!r}",
+                f"matrix row {i} is labelled {quote(row[0])}, expected {quote(ids[i])}",
             )
         try:
             # numpy's str -> int64 conversion goes through int(), so it accepts
@@ -145,7 +139,7 @@ def read_matrix(path: str | Path, journals: JournalSet) -> CitationMatrix:
             counts[i] = np.array(row[1:], dtype=np.int64)
         except (ValueError, OverflowError):
             for j, cell in enumerate(row[1:]):
-                counts[i, j] = _parse_count(cell, f"citation count ({row[0]!r} -> {ids[j]!r})")
+                counts[i, j] = _parse_count(cell, f"citation count ({quote(row[0])} -> {quote(ids[j])})")
     return CitationMatrix(counts)
 
 
@@ -181,18 +175,28 @@ def read_partition(path: str | Path, journals: JournalSet) -> FieldPartition:
             raise _fail("BadRow", f"partition row has {len(row)} fields, expected 2")
         ident, field_label = row
         if field_label not in ("1", "2"):
-            raise _fail("BadField", f"field of {ident!r} must be 1 or 2, got {field_label!r}")
+            raise _fail("BadField", f"field of {quote(ident)} must be 1 or 2, got {quote(field_label)}")
         if ident in assignment:
-            raise _fail("DuplicateId", f"journal {ident!r} assigned twice", journal=ident)
+            raise _fail("DuplicateId", f"journal {quote(ident)} assigned twice", journal=ident)
         assignment[ident] = int(field_label)
+    known = set(journals.ids)
     missing = [i for i in journals.ids if i not in assignment]
-    extra = [i for i in assignment if i not in set(journals.ids)]
+    extra = [i for i in assignment if i not in known]
     if missing or extra:
         raise _fail(
             "PartitionMismatch",
-            f"partition must cover the journal set exactly (missing {missing}, extra {extra})",
+            "partition must cover the journal set exactly "
+            f"(missing {_quote_ids(missing)}, extra {_quote_ids(extra)})",
         )
     return FieldPartition(tuple(assignment[i] for i in journals.ids))
+
+
+def _quote_ids(ids: list[str]) -> str:
+    """The ids as a list literal: the first _LISTED_IDS quoted, then how many in all."""
+    shown = [quote(i) for i in ids[:_LISTED_IDS]]
+    if len(ids) > _LISTED_IDS:
+        shown.append(f"… {len(ids)} in all")
+    return f"[{', '.join(shown)}]"
 
 
 def write_partition(path: str | Path, journals: JournalSet, partition: FieldPartition) -> None:

@@ -4,6 +4,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+_QUOTE_LIMIT = 40
+"""Characters of an id or a file cell that an error message quotes."""
+
+
+def quote(text: str) -> str:
+    """repr of an id or cell, or of its first _QUOTE_LIMIT characters and its length."""
+    if len(text) <= _QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:_QUOTE_LIMIT]!r}… ({len(text)} characters)"
+
 
 class JournalRankError(Exception):
     """Base class for every error raised by this package."""
@@ -61,7 +71,7 @@ class _ZeroCount(JournalRankError):
     def __init__(self, index: int, journal_id: str | None = None):
         self.index = index
         self.journal_id = journal_id
-        label = f"{journal_id!r} (index {index})" if journal_id else f"index {index}"
+        label = f"{quote(journal_id)} (index {index})" if journal_id else f"index {index}"
         super().__init__(f"journal {label} {self.what}")
 
 

@@ -83,6 +83,13 @@ class IndicatorVector:
         return self.kind
 
 
+def _same_size(journals: core.JournalSet, matrix: core.CitationMatrix) -> None:
+    """Raise ValueError, with ``core.validate``'s text, for a size mismatch."""
+    mismatch = core.size_mismatch(journals, matrix)
+    if mismatch:
+        raise ValueError(mismatch)
+
+
 def _nonzero(values: np.ndarray, journals: core.JournalSet, error) -> np.ndarray:
     """Return values, or raise error for the first journal whose value is 0."""
     zero = np.flatnonzero(values == 0)
@@ -102,6 +109,7 @@ def _article_share(journals: core.JournalSet) -> np.ndarray:
 
 def impact_factor(journals: core.JournalSet, matrix: core.CitationMatrix) -> IndicatorVector:
     """Received citations per earlier-period article."""
+    _same_size(journals, matrix)
     a1 = _nonzero(journals.articles_t1, journals, ZeroArticles)
     received = matrix.counts.sum(axis=0)
     return IndicatorVector("IF", received / a1)
@@ -114,6 +122,7 @@ def audience_factor(journals: core.JournalSet, matrix: core.CitationMatrix) -> I
     A citation from a journal with many references per article counts less;
     journals that cite at the average rate contribute with weight one.
     """
+    _same_size(journals, matrix)
     a1 = _nonzero(journals.articles_t1, journals, ZeroArticles)
     a2 = _nonzero(journals.articles_t2, journals, ZeroArticlesT2)
     sums = _nonzero(matrix.row_sums, journals, ZeroOutgoing)
@@ -134,12 +143,12 @@ def influence_weights(
     The returned vector w satisfies w[i] = sum_j w[j] * counts[j, i] / s[i]
     and is scaled so that the citation-weighted mean weight is one:
     sum_i w[i] * s[i] equals sum_i s[i]. w is the undamped (alpha = 1)
-    stationary vector of the reference shares divided by the row sums.
+    stationary vector of the row-normalized counts divided by the row sums.
     """
+    _same_size(journals, matrix)
     sums = _nonzero(matrix.row_sums, journals, ZeroOutgoing)
-    shares = spectral.reference_shares(matrix)
     uniform = np.full(matrix.n, 1.0 / matrix.n)
-    q, report = spectral.stationary(shares, 1.0, uniform, solver)
+    q, report = spectral.stationary(matrix.counts, 1.0, uniform, solver)
     direction = q / sums
     scale = sums.sum() / float(direction @ sums)
     return IndicatorVector("IW", direction * scale, solver=report)
@@ -177,13 +186,11 @@ def eigenfactor(
     and the score of journal i is 100 times the citation flow it receives
     under p. alpha = 1 requires an irreducible matrix.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    _nonzero(matrix.row_sums, journals, ZeroOutgoing)
-    shares = spectral.reference_shares(matrix)
+    _same_size(journals, matrix)
+    sums = _nonzero(matrix.row_sums, journals, ZeroOutgoing)
     teleport = _article_share(journals)
-    p, report = spectral.stationary(shares, alpha, teleport, solver)
-    scores = 100.0 * (p @ shares)
+    p, report = spectral.stationary(matrix.counts, alpha, teleport, solver)
+    scores = 100.0 * ((p / sums) @ matrix.counts)
     return IndicatorVector("EF", scores, {"alpha": alpha}, report)
 
 
@@ -218,8 +225,8 @@ def weighted_pagerank(
     # Written so that a NaN beta or gamma fails the check too.
     if not (beta >= 0 and gamma >= 0 and beta + gamma <= 1 + 1e-12):
         raise ValueError("need beta >= 0, gamma >= 0 and beta + gamma <= 1")
+    _same_size(journals, matrix)
     _nonzero(matrix.row_sums, journals, ZeroOutgoing)
-    shares = spectral.reference_shares(matrix)
     n = journals.n
     if beta == 1.0:
         teleport = np.full(n, 1.0 / n)
@@ -230,7 +237,7 @@ def weighted_pagerank(
         if gamma > 0:
             mix = mix + gamma * _article_share(journals)
         teleport = mix / (1.0 - beta)
-    r, report = spectral.stationary(shares, beta, teleport, solver)
+    r, report = spectral.stationary(matrix.counts, beta, teleport, solver)
     return IndicatorVector("WPR", r, {"beta": beta, "gamma": gamma}, report)
 
 

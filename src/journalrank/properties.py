@@ -299,7 +299,6 @@ def ipp_endpoint_check(
 ) -> ProportionalityReport:
     """Verify the per-article influence matches the fully damped per-article
     stationary score up to one constant. Requires an irreducible matrix."""
-    core.require_irreducible(matrix)
     ipp = indicators.influence_per_publication(journals, matrix, solver)
     ai1 = indicators.article_influence(journals, matrix, alpha=1.0, solver=solver)
     return _ratio_report(ipp.values, ai1.values, threshold)

@@ -5,10 +5,12 @@ elimination (oracle-grade on small instances) and power iteration (scales
 to larger ones). Tests cross-check them against each other, so keep the
 implementations independent.
 
-The power path picks its matvec from the input. Below SPARSE_DENSITY
-non-zero cells, each solve extracts the non-zeros once as (row, col, value)
-triplets and every step is one ``np.bincount`` over them; denser inputs use
-the dense ``x @ shares``. An alpha = 1 solve first checks irreducibility
+Both take the citation counts and their row sums; the row normalization
+is implicit and the power path never builds a share matrix. Below
+SPARSE_DENSITY non-zero cells, each power solve extracts the non-zeros
+once as (row, col, count / row sum) triplets and every step is one
+``np.bincount`` over them; denser inputs use the dense
+``(x / row_sums) @ counts``. An alpha = 1 solve first checks irreducibility
 with ``core.require_irreducible``; the full ``core.structure`` report and the
 strongly connected components are computed only to describe a failure.
 """
@@ -86,8 +88,9 @@ def reference_shares(matrix: core.CitationMatrix) -> np.ndarray:
     return matrix.counts / sums[:, None]
 
 
-def _direct(shares: np.ndarray, alpha: float, teleport: np.ndarray):
-    n = shares.shape[0]
+def _direct(counts: np.ndarray, sums: np.ndarray, alpha: float, teleport: np.ndarray):
+    n = counts.shape[0]
+    shares = counts / sums[:, None]
     if alpha == 1.0:
         # Singular eigen-system: replace one equation with the sum constraint.
         system = np.eye(n) - shares.T
@@ -107,19 +110,20 @@ def _direct(shares: np.ndarray, alpha: float, teleport: np.ndarray):
     return x, SolverReport(0, residual, "direct")
 
 
-def _matvec(shares: np.ndarray):
-    """Return a function computing ``x @ shares``, sparse-aware by density."""
-    n = shares.shape[0]
-    if np.count_nonzero(shares) >= SPARSE_DENSITY * n * n:
-        return lambda x: x @ shares
-    flat = np.flatnonzero(shares)
+def _matvec(counts: np.ndarray, sums: np.ndarray):
+    """Return a function computing ``x`` times the row-normalized ``counts``,
+    sparse-aware by density."""
+    n = counts.shape[0]
+    if np.count_nonzero(counts) >= SPARSE_DENSITY * n * n:
+        return lambda x: (x / sums) @ counts
+    flat = np.flatnonzero(counts)
     rows, cols = np.divmod(flat, n)
-    vals = shares.ravel()[flat]
+    vals = counts.ravel()[flat] / sums[rows]
     return lambda x: np.bincount(cols, weights=x[rows] * vals, minlength=n)
 
 
-def _power(shares: np.ndarray, alpha: float, teleport: np.ndarray, config: SolverConfig):
-    step = _matvec(shares)
+def _power(counts: np.ndarray, sums: np.ndarray, alpha: float, teleport: np.ndarray, config: SolverConfig):
+    step = _matvec(counts, sums)
     x = np.array(teleport, dtype=float)
     x /= x.sum()
     lazy = alpha == 1.0
@@ -161,11 +165,15 @@ def stationary(
     teleport: np.ndarray,
     config: SolverConfig | None = None,
 ) -> tuple[np.ndarray, SolverReport]:
-    """Fixed point of  x = alpha * (x @ shares) + (1 - alpha) * teleport.
+    """Fixed point of  x = alpha * (x @ S) + (1 - alpha) * teleport,  where S
+    is ``shares`` with each row divided by its sum.
 
     Parameters
     ----------
-    shares : (n, n) row-stochastic array, as built by ``reference_shares``.
+    shares : (n, n) finite array whose rows have positive sums, such as
+        ``CitationMatrix.counts``. The row normalization is implicit: the
+        power path divides the iterate by the row sums, so no share matrix
+        is built (only the direct path forms S, for its own small solve).
     alpha : damping weight in [0, 1]. 0 returns the teleport vector exactly;
         1 solves the pure eigen-problem and requires an irreducible pattern.
     teleport : non-negative vector summing to 1.
@@ -187,12 +195,13 @@ def stationary(
         raise ValueError("teleport must be finite")
     if np.any(teleport < 0) or abs(teleport.sum() - 1.0) > 1e-9:
         raise ValueError("teleport must be a probability vector")
-    row_sums = shares.sum(axis=1)
+    sums = shares.sum(axis=1)
     # A NaN or infinite cell makes its row sum non-finite.
-    if not np.all(np.isfinite(row_sums)):
+    if not np.all(np.isfinite(sums)):
         raise ValueError("shares must be finite")
-    if np.any(np.abs(row_sums - 1.0) > 1e-9):
-        raise ValueError("shares rows must sum to 1 (row-normalize the matrix first)")
+    empty = np.flatnonzero(sums <= 0)
+    if empty.size:
+        raise ValueError(f"shares row {int(empty[0])} has no positive sum")
 
     if alpha == 0.0:
         return teleport.copy(), SolverReport(0, 0.0, "exact")
@@ -203,6 +212,5 @@ def stationary(
     if method == "auto":
         method = "direct" if n <= DIRECT_LIMIT else "power"
     if method == "direct":
-        return _direct(shares, alpha, teleport)
-    return _power(shares, alpha, teleport, config)
-
+        return _direct(shares, sums, alpha, teleport)
+    return _power(shares, sums, alpha, teleport, config)

@@ -216,6 +216,34 @@ class TestCompute:
         assert issue["code"] == code
         assert issue["message"] == f"citation count ('a' -> 'b') {detail}"
 
+    @pytest.mark.parametrize("fault", ["article_count", "row_label", "zero_articles"])
+    def test_long_journal_id_gives_a_bounded_record(self, capsys, tmp_path, fault):
+        long_id = "L" * 5000
+        a1 = {"article_count": "x", "zero_articles": "0"}.get(fault, "5")
+        label = "M" * 5000 if fault == "row_label" else long_id
+        (tmp_path / "journals.csv").write_text(f"id,name,articles_t1,articles_t2\n{long_id},,{a1},5\nb,,5,5\n")
+        (tmp_path / "matrix.csv").write_text(f"citing\\cited,{long_id},b\n{label},1,2\nb,3,4\n")
+        code, out, err = run(
+            capsys,
+            "compute",
+            "--journals",
+            str(tmp_path / "journals.csv"),
+            "--matrix",
+            str(tmp_path / "matrix.csv"),
+            "--indicator",
+            "if",
+        )
+        assert (code, out) == (1, "")
+        assert len(err.encode()) < 1000
+        shown = f"{'L' * 40!r}… (5000 characters)"
+        message = json.loads(err)["message"]
+        if fault == "article_count":
+            assert message.endswith(f"articles_t1 of {shown} is not an integer: 'x'")
+        elif fault == "row_label":
+            assert message.endswith(f"matrix row 0 is labelled {'M' * 40!r}… (5000 characters), expected {shown}")
+        else:
+            assert message == f"journal {shown} (index 0) published no articles in the earlier period"
+
     def test_huge_invalid_matrix_gives_a_bounded_record(self, capsys, tmp_path):
         n = 300
         ids = [f"J{k}" for k in range(n)]

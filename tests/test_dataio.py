@@ -123,6 +123,39 @@ class TestPartitionFile:
         assert (issue.code, issue.journal) == ("DuplicateId", "J1")
         assert issue.message == "journal 'J1' assigned twice"
 
+    @pytest.mark.parametrize(
+        "listed, missing, extra",
+        [
+            (["J1", "J2", "J3", "X"], "['J4', 'J5', 'J6', 'J7', 'J8']", "['X']"),
+            (["J1"], "['J2', 'J3', 'J4', 'J5', 'J6', … 7 in all]", "[]"),
+            (["J1", "J2", *"ABCDEF"], "['J3', 'J4', 'J5', 'J6', 'J7', … 6 in all]", "['A', 'B', 'C', 'D', 'E', … 6 in all]"),
+        ],
+        ids=["five_missing", "seven_missing", "six_of_each"],
+    )
+    def test_mismatch_lists_at_most_five_ids_of_each_kind(self, tmp_path, two_field, listed, missing, extra):
+        journals, _ = two_field
+        (tmp_path / "p.csv").write_text("\n".join(["id,field"] + [f"{i},1" for i in listed]) + "\n")
+        with pytest.raises(ValidationError) as err:
+            dataio.read_partition(tmp_path / "p.csv", journals)
+        (issue,) = err.value.issues
+        assert issue.message == f"partition must cover the journal set exactly (missing {missing}, extra {extra})"
+
+    def test_long_ids_are_quoted_to_forty_characters(self, tmp_path, two_field):
+        journals, _ = two_field
+        long_id = "L" * 5000
+        shown = f"{'L' * 40!r}… (5000 characters)"
+        for rows, code, message in (
+            ([f"{long_id},{'3' * 5000}"], "BadField", f"field of {shown} must be 1 or 2, got {'3' * 40!r}… (5000 characters)"),
+            ([f"{long_id},1", f"{long_id},2"], "DuplicateId", f"journal {shown} assigned twice"),
+        ):
+            (tmp_path / "p.csv").write_text("\n".join(["id,field"] + rows) + "\n")
+            with pytest.raises(ValidationError) as err:
+                dataio.read_partition(tmp_path / "p.csv", journals)
+            (issue,) = err.value.issues
+            assert (issue.code, issue.message) == (code, message)
+            if code == "DuplicateId":
+                assert issue.journal == long_id
+
     def test_field_labels_restricted(self, tmp_path, two_field):
         journals, _ = two_field
         rows = ["id,field"] + [f"{i},3" for i in journals.ids]

@@ -379,6 +379,44 @@ class TestEdgeCases:
             np.testing.assert_array_equal(vector.values, [100.0])
 
 
+    @pytest.mark.parametrize("size", (1, 4))
+    @pytest.mark.parametrize("kind,params", ALL_KINDS)
+    def test_size_mismatch_rejected(self, kind, params, size):
+        journals = jr.JournalSet(tuple(jr.Journal(f"J{i}", None, 5, 5) for i in range(3)))
+        matrix = jr.CitationMatrix(np.ones((size, size)))
+        with pytest.raises(ValueError) as err:
+            jr.compute(kind, journals, matrix, **params)
+        assert str(err.value) == f"journal set has 3 journals but matrix is {size}x{size}"
+        with pytest.raises(jr.ValidationError) as invalid:
+            jr.validate(journals, matrix)
+        assert invalid.value.issues[0].message == str(err.value)
+
+    @pytest.mark.parametrize(
+        "kind,params,rejected",
+        (
+            ("if", {}, True),
+            ("af", {}, True),
+            ("iw", {}, False),
+            ("ipp", {}, True),
+            ("ef", {}, False),
+            ("ai", {}, True),
+            ("wpr", {"beta": 0.9, "gamma": 0.0999}, False),
+            ("sjr", {}, True),
+        ),
+    )
+    def test_journal_without_earlier_articles(self, two_field, kind, params, rejected):
+        journals, matrix = two_field
+        first = journals.journals[0]
+        journals = jr.JournalSet((jr.Journal(first.id, None, 0, first.articles_t2),) + journals.journals[1:])
+        if rejected:
+            with pytest.raises(ZeroArticles) as err:
+                jr.compute(kind, journals, matrix, **params)
+            assert str(err.value) == "journal 'J1' (index 0) published no articles in the earlier period"
+        else:
+            vector = jr.compute(kind, journals, matrix, **params)
+            assert vector.n == 8 and np.all(vector.values > 0), kind
+
+
 class TestIndicatorVector:
     def test_basis_is_fixed_per_kind(self, two_field):
         journals, matrix = two_field

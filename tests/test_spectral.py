@@ -118,9 +118,18 @@ class TestStationary:
         with pytest.raises(ValueError):
             stationary(shares, 0.5, teleport)
 
-    def test_unnormalized_shares_rejected(self):
-        with pytest.raises(ValueError):
-            stationary(np.array([[1.0, 1.0], [0.5, 0.5]]), 0.5, np.array([0.5, 0.5]))
+    def test_counts_are_row_normalized_implicitly(self, zoo):
+        for name, journals, matrix in zoo:
+            teleport = np.full(matrix.n, 1.0 / matrix.n)
+            for alpha in (0.5, 1.0):
+                for method in ("direct", "power"):
+                    config = SolverConfig(method=method)
+                    from_counts, _ = stationary(matrix.counts, alpha, teleport, config)
+                    from_shares, _ = stationary(reference_shares(matrix), alpha, teleport, config)
+                    assert np.abs(from_counts - from_shares).max() <= 1e-12, (name, alpha, method)
+        counts = np.array([[1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="row 1 has no positive sum"):
+            stationary(counts, 0.5, np.array([0.5, 0.5]))
 
     @pytest.mark.parametrize("method", ("direct", "power"))
     @pytest.mark.parametrize("alpha", (0.5, 1.0))
