@@ -10,6 +10,13 @@ import numpy as np
 from . import core, indicators
 from .errors import DegenerateInput
 
+TIE_TOLERANCE = 1e-9
+"""Relative gap below which two neighbouring sorted values rank as tied.
+
+Scores of mirror-image journals can differ in the last bits after a solve;
+counting them as distinct would make rank correlations depend on rounding.
+"""
+
 
 def _clean_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
@@ -34,12 +41,21 @@ def pearson(x, y) -> float:
 
 
 def average_ranks(values) -> np.ndarray:
-    """Ranks starting at 1, ties replaced by the mean of their rank run."""
+    """Ranks starting at 1, ties replaced by the mean of their rank run.
+
+    A run is a stretch of sorted values whose neighbours differ by at most
+    TIE_TOLERANCE times the larger of their magnitudes.
+    """
     values = np.asarray(values, dtype=float)
     order = np.argsort(values, kind="stable")
     ordered = values[order]
+    low, high = ordered[:-1], ordered[1:]
+    with np.errstate(invalid="ignore"):
+        gap = high - low
+    close = np.isfinite(gap) & (gap <= TIE_TOLERANCE * np.maximum(np.abs(low), np.abs(high)))
     new_run = np.ones(values.size, dtype=bool)
-    new_run[1:] = ordered[1:] != ordered[:-1]
+    # Equal infinities tie too, though their gap is NaN.
+    new_run[1:] = ~(close | (high == low))
     starts = np.flatnonzero(new_run)
     lengths = np.diff(np.append(starts, values.size))
     ranks = np.empty(values.size, dtype=float)

@@ -22,9 +22,11 @@ from pathlib import Path
 
 from . import analysis, core, dataio, indicators, properties, synth
 from .errors import JournalRankError, NoConvergence, NotIrreducible, ValidationError
-from .spectral import SolverConfig
+from .spectral import METHODS, SolverConfig
 
 _DEFAULT_PRECISION = 3
+# Every kind's parameter names, in the order of the KINDS table.
+_PARAM_NAMES = tuple(dict.fromkeys(name for kind in indicators.KINDS.values() for name in kind.params))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,18 +41,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--matrix", required=True, help="matrix.csv path")
 
     def add_solver_args(p):
-        p.add_argument("--method", choices=("auto", "direct", "power"), default="auto")
-        p.add_argument("--tolerance", type=float, default=1e-12)
-        p.add_argument("--max-iterations", type=int, default=100_000)
+        defaults = SolverConfig()
+        p.add_argument("--method", choices=METHODS, default=defaults.method)
+        p.add_argument("--tolerance", type=float, default=defaults.tolerance)
+        p.add_argument("--max-iterations", type=int, default=defaults.max_iterations)
 
     def add_output_args(p):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--precision", type=int, default=None, help="display decimals (csv default 3; json default full)")
 
     def add_param_args(p):
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--beta", type=float, default=None)
-        p.add_argument("--gamma", type=float, default=None)
+        for name in _PARAM_NAMES:
+            p.add_argument(f"--{name}", type=float, default=None)
 
     kinds = tuple(indicators.KINDS)
 
@@ -136,7 +138,7 @@ def _csv_precision(args) -> int:
 
 
 def _indicator_params(args) -> dict:
-    return dict(alpha=args.alpha, beta=args.beta, gamma=args.gamma, solver=_solver_config(args))
+    return {name: getattr(args, name) for name in _PARAM_NAMES} | {"solver": _solver_config(args)}
 
 
 def _compute(args, journals, matrix) -> indicators.IndicatorVector:
@@ -295,15 +297,7 @@ def _cmd_field_check(args) -> int:
         ]
         for r in (report,)
     )
-    payload = {
-        "delta": report.delta,
-        "field_means": list(report.field_means),
-        "overall_mean": report.overall_mean,
-        "bounds_hold": list(report.bounds_hold),
-        "balanced": report.balanced,
-        "eta": report.eta,
-    }
-    return _emit(args, header, rows, payload)
+    return _emit(args, header, rows, dataclasses.asdict(report))
 
 
 def _cmd_demo(args) -> int:
@@ -360,12 +354,11 @@ _COMMANDS = {
 
 
 def _error_record(exc: Exception) -> dict:
-    record: dict = {"error": type(exc).__name__, "message": str(exc)}
+    # str() of a KeyError is the repr of its message.
+    message = str(exc.args[0]) if isinstance(exc, KeyError) and exc.args else str(exc)
+    record: dict = {"error": type(exc).__name__, "message": message}
     if isinstance(exc, ValidationError):
-        record["issues"] = [
-            {"code": i.code, "message": i.message, "journal": i.journal, "cell": i.cell}
-            for i in exc.issues
-        ]
+        record["issues"] = [dataclasses.asdict(issue) for issue in exc.issues]
         if exc.issue_count > len(exc.issues):
             record["issue_count"] = exc.issue_count
     if isinstance(exc, NotIrreducible) and exc.components is not None:

@@ -206,11 +206,11 @@ def is_irreducible(matrix) -> bool:
 def require_irreducible(matrix) -> None:
     """Raise NotIrreducible unless ``is_irreducible(matrix)``.
 
-    Only a failure pays for the full ``structure`` report and the strongly
-    connected components that the error carries.
+    Only a failure pays for the strongly connected components that the
+    error carries.
     """
     if not is_irreducible(matrix):
-        raise NotIrreducible(structure(matrix), strongly_connected_components(matrix))
+        raise NotIrreducible(strongly_connected_components(matrix))
 
 
 def strongly_connected_components(matrix) -> list[list[int]]:

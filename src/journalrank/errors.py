@@ -96,13 +96,12 @@ class ZeroOutgoing(_ZeroCount):
 class NotIrreducible(JournalRankError):
     """The citation graph is not strongly connected.
 
-    `report` is the StructureReport of the offending matrix; `components`
-    lists the strongly connected components (index lists), which identify
-    the cut that disconnects the graph.
+    `components` lists the strongly connected components (index lists),
+    which identify the cut that disconnects the graph; None when there are
+    none (an empty matrix).
     """
 
-    def __init__(self, report, components=None):
-        self.report = report
+    def __init__(self, components=None):
         self.components = [list(c) for c in components] if components else None
         detail = ""
         if self.components:

@@ -75,12 +75,11 @@ class IndicatorVector:
         return self.values.shape[0]
 
     def label(self) -> str:
-        """Short display label, e.g. IF, AI(0.85), WPR(0.9,0.0999)."""
-        if "alpha" in self.params:
-            return f"{self.kind}({self.params['alpha']:g})"
-        if "beta" in self.params:
-            return f"{self.kind}({self.params['beta']:g},{self.params['gamma']:g})"
-        return self.kind
+        """Short display label, e.g. IF, AI(0.85), WPR(0.9,0.0999): the
+        parameters in the order the kind lists them."""
+        names = [name for name in KINDS[self.kind.lower()].params if name in self.params]
+        shown = ",".join(f"{self.params[name]:g}" for name in names)
+        return f"{self.kind}({shown})" if shown else self.kind
 
 
 def _same_size(journals: core.JournalSet, matrix: core.CitationMatrix) -> None:
@@ -286,22 +285,21 @@ def compute(
     journals: core.JournalSet,
     matrix: core.CitationMatrix,
     *,
-    alpha: float | None = None,
-    beta: float | None = None,
-    gamma: float | None = None,
     solver: spectral.SolverConfig | None = None,
+    **params: float | None,
 ) -> IndicatorVector:
     """Dispatch by lower-case kind token, one of the keys of ``KINDS``.
 
-    Rejects parameters that do not belong to the requested indicator and
-    fills the ones not given from the kind's defaults.
+    ``params`` are the kind's parameters as listed in ``KINDS``; a None value
+    counts as not given. Rejects parameters that do not belong to the
+    requested indicator and fills the ones not given from the kind's defaults.
     """
     token = kind.lower()
     if token not in KINDS:
         raise ValueError(f"unknown indicator kind {kind!r}")
     spec = KINDS[token]
     names = tuple(spec.params)
-    given = {k: v for k, v in dict(alpha=alpha, beta=beta, gamma=gamma).items() if v is not None}
+    given = {k: v for k, v in params.items() if v is not None}
     foreign = [name for name in given if name not in names]
     if foreign:
         if not names:

@@ -160,23 +160,31 @@ def field_insensitivity_check(
         bool(lower - slack <= mean <= upper + slack) for mean in (mean1, mean2)
     )
 
-    a2 = journals.articles_t2
-    eta: float | None = None
-    if np.all(a1 > 0):
-        ratios = a2 / a1
-        low, high = float(ratios.min()), float(ratios.max())
-        if high > 0 and high - low <= _ETA_TOLERANCE * high:
-            eta = float(ratios.mean())
-        elif high == 0 and low == 0:
-            eta = 0.0
     return FieldInsensitivityReport(
         delta=delta,
         field_means=(mean1, mean2),
         overall_mean=overall,
         bounds_hold=holds,
         balanced=partition.is_balanced(journals),
-        eta=eta,
+        eta=_article_ratio(journals),
     )
+
+
+def _article_ratio(journals: core.JournalSet) -> float | None:
+    """The constant later/earlier article ratio eta, or None when there is none.
+
+    The per-journal ratios a2 / a1 count as one constant when their spread is
+    at most _ETA_TOLERANCE times the largest ratio; a journal without
+    earlier-period articles has no ratio.
+    """
+    a1 = journals.articles_t1
+    if not np.all(a1 > 0):
+        return None
+    ratios = journals.articles_t2 / a1
+    high = float(ratios.max())
+    if high - float(ratios.min()) > _ETA_TOLERANCE * high:
+        return None
+    return float(ratios.mean())
 
 
 def leave_one_out(
@@ -184,19 +192,16 @@ def leave_one_out(
     matrix: core.CitationMatrix,
     dropped: int,
     kind: str,
-    *,
-    alpha: float | None = None,
-    beta: float | None = None,
-    gamma: float | None = None,
-    solver: spectral.SolverConfig | None = None,
+    **params,
 ) -> LeaveOneOutReport:
     """Recompute an indicator after removing one journal and report the shift.
 
+    ``params`` are passed to ``indicators.compute`` for both instances: the
+    kind's parameters (as listed in ``indicators.KINDS``) and ``solver``.
     Every derived quantity (row sums, referencing rates, stationary vector)
     is recomputed on the reduced instance. Needs at least three journals
     after the drop so that recursive indicators stay meaningful.
     """
-    params = dict(alpha=alpha, beta=beta, gamma=gamma, solver=solver)
     full = _full_values(journals, matrix, kind, params)
     return _drop_report(journals, matrix, dropped, kind, full, params)
 
@@ -205,19 +210,14 @@ def leave_one_out_sweep(
     journals: core.JournalSet,
     matrix: core.CitationMatrix,
     kind: str,
-    *,
-    alpha: float | None = None,
-    beta: float | None = None,
-    gamma: float | None = None,
-    solver: spectral.SolverConfig | None = None,
+    **params,
 ) -> list[LeaveOneOutReport]:
-    """``leave_one_out`` for every journal in index order.
+    """``leave_one_out`` for every journal in index order, with the same ``params``.
 
     The full instance is solved once for all drops, so a sweep costs n + 1
     indicator computations rather than 2n; each report equals the one
     ``leave_one_out`` gives for the same journal.
     """
-    params = dict(alpha=alpha, beta=beta, gamma=gamma, solver=solver)
     full = _full_values(journals, matrix, kind, params)
     return [_drop_report(journals, matrix, dropped, kind, full, params) for dropped in range(journals.n)]
 
@@ -277,12 +277,9 @@ def af_endpoint_check(
     Requires the later-period article counts to be one fixed multiple of the
     earlier-period counts; raises PreconditionViolated otherwise.
     """
-    a1 = journals.articles_t1
-    a2 = journals.articles_t2
-    if np.any(a1 <= 0):
+    if np.any(journals.articles_t1 <= 0):
         raise PreconditionViolated("all journals need earlier-period articles")
-    ratios = a2 / a1
-    if float(ratios.max()) - float(ratios.min()) > _ETA_TOLERANCE * max(float(ratios.max()), 1.0):
+    if _article_ratio(journals) is None:
         raise PreconditionViolated(
             "later-period article counts are not proportional to earlier-period counts"
         )

@@ -11,8 +11,8 @@ SPARSE_DENSITY non-zero cells, each power solve extracts the non-zeros
 once as (row, col, count / row sum) triplets and every step is one
 ``np.bincount`` over them; denser inputs use the dense
 ``(x / row_sums) @ counts``. An alpha = 1 solve first checks irreducibility
-with ``core.require_irreducible``; the full ``core.structure`` report and the
-strongly connected components are computed only to describe a failure.
+with ``core.require_irreducible``; the strongly connected components are
+computed only to describe a failure.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from . import core
 from .errors import NoConvergence, ZeroOutgoing
 
 DIRECT_LIMIT = 64
+# The values of SolverConfig.method.
+METHODS = ("auto", "direct", "power")
 # Share of non-zero cells below which the power path iterates over the
 # non-zeros instead of the dense matrix. Measured at n = 1000-2000 (one BLAS
 # thread, x86-64): a sparse step costs as much as a dense one at 9-10 %
@@ -61,7 +63,7 @@ class SolverConfig:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.method not in ("auto", "direct", "power"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
 
 
@@ -170,10 +172,12 @@ def stationary(
 
     Parameters
     ----------
-    shares : (n, n) finite array whose rows have positive sums, such as
-        ``CitationMatrix.counts``. The row normalization is implicit: the
-        power path divides the iterate by the row sums, so no share matrix
-        is built (only the direct path forms S, for its own small solve).
+    shares : (n, n) finite, non-negative array whose rows have positive
+        sums, such as ``CitationMatrix.counts``; a negative cell raises
+        ValueError naming the first one. The row normalization is implicit:
+        the power path divides the iterate by the row sums, so no share
+        matrix is built (only the direct path forms S, for its own small
+        solve).
     alpha : damping weight in [0, 1]. 0 returns the teleport vector exactly;
         1 solves the pure eigen-problem and requires an irreducible pattern.
     teleport : non-negative vector summing to 1.
@@ -199,6 +203,9 @@ def stationary(
     # A NaN or infinite cell makes its row sum non-finite.
     if not np.all(np.isfinite(sums)):
         raise ValueError("shares must be finite")
+    if shares.min() < 0:
+        i, j = np.argwhere(shares < 0)[0]
+        raise ValueError(f"shares cell ({i}, {j}) is negative")
     empty = np.flatnonzero(sums <= 0)
     if empty.size:
         raise ValueError(f"shares row {int(empty[0])} has no positive sum")

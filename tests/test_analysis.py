@@ -51,6 +51,9 @@ class TestPearson:
 class TestSpearman:
     def test_tie_ranks_use_run_means(self):
         np.testing.assert_array_equal(jr.average_ranks([1.0, 2.0, 2.0, 3.0]), [1.0, 2.5, 2.5, 4.0])
+        # Neighbours within TIE_TOLERANCE relative of each other tie as well.
+        close = [0.0024752475247524753, 0.002475247524752475, 1.0, 1.0 + 2e-9, np.inf, np.inf]
+        np.testing.assert_array_equal(jr.average_ranks(close), [1.5, 1.5, 3.0, 4.0, 5.5, 5.5])
 
     def test_rank_helper_matches_independent_oracle(self):
         rng = np.random.default_rng(4)

@@ -373,6 +373,17 @@ class TestCorrelate:
         payload = json.loads(out)
         assert payload["labels"] == ["IF", "WPR(0.9,0.05)", "SJR(0.9,0.0999)"]
 
+    def test_mirror_journals_tie_in_spearman(self, capsys, dataset):
+        # J1/J2 and J5/J6 mirror each other, but AI(0.85) gives them scores
+        # one ulp apart; IPP is proportional to AI(1), so every rank
+        # correlation on the two-field example is exactly one.
+        code, out, _ = run(
+            capsys, "correlate", *base_args(dataset), "--indicators", "if,af,ai:0,ai:0.85,ai:1,ipp"
+        )
+        assert code == 0
+        rows = [line.split(",")[1:] for line in out.strip().splitlines()[1:]]
+        assert rows == [["1.000"] * 6] * 6
+
     def test_single_indicator_rejected(self, capsys, dataset):
         code, _, err = run(capsys, "correlate", *base_args(dataset), "--indicators", "if")
         assert code == 1
@@ -424,6 +435,7 @@ class TestSensitivity:
         )
         assert code == 1
         assert json.loads(err)["error"] == "KeyError"
+        assert json.loads(err) == {"error": "KeyError", "message": "unknown journal id 'nope'"}
 
 
 class TestFieldCheck:

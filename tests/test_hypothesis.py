@@ -1,9 +1,12 @@
 """Property-based checks of the paper's relations on random small instances.
 
-Every instance has positive citation counts (hence an irreducible,
+Most instances have positive citation counts (hence an irreducible,
 aperiodic pattern) and at most 12 journals, so the direct solver is exact
-and each example costs a few milliseconds.
+and each example costs a few milliseconds. The sparse instances (21-40
+journals, below ``SPARSE_DENSITY``) reach the power path's triplet matvec.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import journalrank as jr
-from journalrank.spectral import SolverConfig, stationary
+from journalrank.spectral import SPARSE_DENSITY, SolverConfig, stationary
 
 DIRECT = SolverConfig(method="direct")
 POWER = SolverConfig(method="power")
@@ -97,4 +100,32 @@ def test_direct_and_power_agree(instance, alpha):
     teleport = journals.articles_t1 / journals.articles_t1.sum()
     direct, _ = stationary(matrix.counts, alpha, teleport, DIRECT)
     power, _ = stationary(matrix.counts, alpha, teleport, POWER)
+    assert np.abs(direct - power).max() < 1e-10
+
+
+@st.composite
+def sparse_instances(draw):
+    """A (counts, teleport) pair of 21-40 journals whose counts are a random
+    cycle through every journal plus a few extra citations, so the pattern
+    is irreducible and sparser than SPARSE_DENSITY."""
+    n = draw(st.integers(21, 40))
+    order = np.array(draw(st.permutations(range(n))))
+    counts = np.zeros((n, n))
+    counts[order, np.roll(order, -1)] = draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n))
+    room = math.ceil(SPARSE_DENSITY * n * n) - 1 - n
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 1000))
+    for i, j, count in draw(st.lists(cell, max_size=min(5, room))):
+        counts[i, j] += count
+    weights = np.array(draw(st.lists(st.integers(1, 500), min_size=n, max_size=n)), dtype=float)
+    return counts, weights / weights.sum()
+
+
+@PROPERTY
+@given(sparse_instances(), st.sampled_from((0.5, 0.85, 1.0)))
+def test_direct_and_power_agree_on_sparse_inputs(instance, alpha):
+    counts, teleport = instance
+    n = counts.shape[0]
+    assert np.count_nonzero(counts) < SPARSE_DENSITY * n * n
+    direct, _ = stationary(counts, alpha, teleport, DIRECT)
+    power, _ = stationary(counts, alpha, teleport, POWER)
     assert np.abs(direct - power).max() < 1e-10

@@ -131,7 +131,7 @@ class TestInfluenceWeights:
         matrix = jr.CitationMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
         with pytest.raises(NotIrreducible) as err:
             jr.influence_weights(journals, matrix)
-        assert err.value.report.irreducible is False
+        assert sorted(map(sorted, err.value.components)) == [[0], [1]]
 
 
 class TestInfluencePerPublication:
@@ -464,6 +464,7 @@ class TestComputeDispatcher:
             ("ef", {"beta": 0.5}, "indicator 'ef' takes alpha only"),
             ("ai", {"beta": 0.5}, "indicator 'ai' takes alpha only"),
             ("ai", {"alpha": 0.5, "gamma": 0.1}, "indicator 'ai' takes alpha only"),
+            ("ai", {"alfa": 0.5}, "indicator 'ai' takes alpha only"),
             ("wpr", {"alpha": 0.5, "beta": 0.5, "gamma": 0.1}, "indicator 'wpr' takes beta and gamma, not alpha"),
             ("wpr", {"alpha": 0.5}, "indicator 'wpr' takes beta and gamma, not alpha"),
             ("sjr", {"alpha": 0.5}, "indicator 'sjr' takes beta and gamma, not alpha"),

@@ -130,6 +130,21 @@ class TestFieldInsensitivityCheck:
         )
         assert report.eta is None
 
+    def test_both_checks_share_one_proportionality_rule(self):
+        # Ratios 0.5 and 0.5 + 8e-13 spread by more than 1e-12 times the
+        # largest ratio, so neither check may treat them as one constant.
+        journals = JournalSet(
+            tuple(
+                Journal(f"J{k}", None, 10**12, 5e11 + (0.8 if k % 2 else 0.0)) for k in range(4)
+            )
+        )
+        matrix = CitationMatrix(np.full((4, 4), 3.0) + np.eye(4))
+        partition = jr.FieldPartition((1, 1, 2, 2))
+        report = jr.field_insensitivity_check(journals, matrix, partition, jr.impact_factor(journals, matrix))
+        assert report.eta is None
+        with pytest.raises(PreconditionViolated, match="not proportional"):
+            jr.af_endpoint_check(journals, matrix)
+
 
 class TestLeaveOneOut:
     def test_recursive_influence_is_stable_without_the_minor_journal(self, two_field):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -93,7 +95,6 @@ class TestStationary:
         assert abs(p.sum() - 1.0) < 1e-12
         with pytest.raises(NotIrreducible) as err:
             stationary(shares, 1.0, teleport)
-        assert err.value.report.irreducible is False
         assert sorted(map(sorted, err.value.components)) == [[0], [1]]
 
     def test_no_convergence_raises(self, near_decomposable):
@@ -138,6 +139,25 @@ class TestStationary:
         shares = np.array([[bad, 0.5], [0.5, 0.5]])
         with pytest.raises(ValueError, match="finite"):
             stationary(shares, alpha, np.array([0.5, 0.5]), SolverConfig(method=method))
+
+    @pytest.mark.parametrize("method", ("direct", "power"))
+    @pytest.mark.parametrize("alpha", (0.85, 1.0))
+    @pytest.mark.parametrize(
+        "counts, cell",
+        (
+            ([[2.0, -1.0, 3.0], [1.0, 1.0, 1.0], [4.0, 1.0, 0.5]], "(0, 1)"),
+            ([[0.0, -5.0, 6.0], [1.0, 1.0, 1.0], [4.0, 1.0, 0.5]], "(0, 1)"),
+            ([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [4.0, -1.0, -0.5]], "(2, 1)"),
+        ),
+    )
+    def test_negative_cell_rejected(self, method, alpha, counts, cell):
+        # Every row sum is positive, so only a cell check catches these.
+        config = SolverConfig(method=method)
+        with pytest.raises(ValueError, match=re.escape(f"shares cell {cell} is negative")):
+            stationary(np.array(counts), alpha, np.full(3, 1.0 / 3.0), config)
+        journals = jr.JournalSet(tuple(jr.Journal(f"J{k}", None, 5, 5) for k in range(3)))
+        with pytest.raises(ValueError, match="is negative"):
+            jr.eigenfactor(journals, jr.CitationMatrix(np.array(counts)), alpha, config)
 
     @pytest.mark.parametrize("method", ("direct", "power"))
     @pytest.mark.parametrize("teleport", ([np.nan, 0.5], [np.nan, np.nan], [np.inf, -np.inf]))
