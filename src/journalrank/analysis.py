@@ -25,6 +25,8 @@ def _clean_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
         raise DegenerateInput("inputs must be equal-length vectors")
     if x.size < 2:
         raise DegenerateInput("need at least two points")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise DegenerateInput("inputs must be finite")
     return x, y
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,12 +70,19 @@ class JournalSet:
 
 @dataclass(frozen=True)
 class CitationMatrix:
-    """Square grid of citing -> cited counts with cached row sums.
+    """Square grid of citing -> cited counts, immutable, with the facts every
+    solve needs derived once.
 
-    Entries are stored as float64, which keeps integral inputs exact.
-    Construction only enforces squareness; content checks (finite,
-    non-negative, dimensions matching a JournalSet) live in ``validate``
-    so that a single call can report every violation at once.
+    Entries are stored as float64, which keeps integral inputs exact. The
+    counts are read-only, so what depends on them alone is computed once per
+    matrix: the row sums at construction, and on first use the non-zero
+    count, the (row, col, count / row sum) triplets of the sparse product,
+    the first negative cell and the irreducibility verdict. Each fact is
+    computed in full before it is stored, so concurrent first use is safe (at
+    worst two threads derive the same value). Construction only enforces
+    squareness; content checks (finite, non-negative, dimensions matching a
+    JournalSet) live in ``validate`` so that a single call can report every
+    violation at once. ``np.asarray(matrix)`` gives the counts.
     """
 
     counts: np.ndarray
@@ -90,9 +98,51 @@ class CitationMatrix:
         sums.flags.writeable = False
         object.__setattr__(self, "row_sums", sums)
 
+    def __array__(self, dtype=None, copy=None):
+        # numpy 1.x passes no copy argument and rejects copy=None itself.
+        if copy:
+            return np.array(self.counts, dtype=dtype)
+        return np.asarray(self.counts, dtype=dtype)
+
     @property
     def n(self) -> int:
         return self.counts.shape[0]
+
+    @cached_property
+    def nonzero_count(self) -> int:
+        """Number of non-zero cells."""
+        return int(np.count_nonzero(self.counts))
+
+    @cached_property
+    def share_triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, count / row sum) of the non-zero cells, in row-major
+        order. Meaningful once every row sum is positive."""
+        return _share_triplets(self.counts, self.row_sums)
+
+    @cached_property
+    def negative_cell(self) -> tuple[int, int] | None:
+        """(row, col) of the first negative cell in row-major order, or None."""
+        # min() needs no n x n boolean temporary, which keeps the peak memory of
+        # many short-lived matrices flat. It is NaN when a cell is NaN; the scan
+        # decides then.
+        if self.counts.size == 0 or self.counts.min() >= 0:
+            return None
+        negative = np.flatnonzero(self.counts < 0)
+        return divmod(int(negative[0]), self.n) if negative.size else None
+
+    @cached_property
+    def irreducible(self) -> bool:
+        """``is_irreducible`` of the counts."""
+        return _pattern_irreducible(self.counts > 0)
+
+
+def _share_triplets(counts: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    flat = np.flatnonzero(counts)
+    rows, cols = np.divmod(flat, counts.shape[0])
+    vals = counts.ravel()[flat] / sums[rows]
+    for array in (rows, cols, vals):
+        array.flags.writeable = False
+    return rows, cols, vals
 
 
 @dataclass(frozen=True)
@@ -188,19 +238,24 @@ def _reaches_all(pattern: np.ndarray) -> bool:
     return bool(seen.all())
 
 
+def _pattern_irreducible(pattern: np.ndarray) -> bool:
+    n = pattern.shape[0]
+    if n <= 1:
+        return bool(n and pattern[0, 0])
+    return _reaches_all(pattern) and _reaches_all(pattern.T)
+
+
 def is_irreducible(matrix) -> bool:
     """Whether the non-zero citation pattern is strongly connected.
 
     Same verdict as ``structure(matrix).irreducible`` (a single journal
     counts only when it cites itself, an empty matrix never), from a forward
     and a backward breadth-first sweep out of journal 0 instead of a full
-    SCC pass.
+    SCC pass. A CitationMatrix answers from its cached verdict.
     """
-    pattern = _counts_of(matrix) > 0
-    n = pattern.shape[0]
-    if n <= 1:
-        return bool(n and pattern[0, 0])
-    return _reaches_all(pattern) and _reaches_all(pattern.T)
+    if isinstance(matrix, CitationMatrix):
+        return matrix.irreducible
+    return _pattern_irreducible(_counts_of(matrix) > 0)
 
 
 def require_irreducible(matrix) -> None:

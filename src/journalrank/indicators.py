@@ -147,7 +147,7 @@ def influence_weights(
     _same_size(journals, matrix)
     sums = _nonzero(matrix.row_sums, journals, ZeroOutgoing)
     uniform = np.full(matrix.n, 1.0 / matrix.n)
-    q, report = spectral.stationary(matrix.counts, 1.0, uniform, solver)
+    q, report = spectral.stationary(matrix, 1.0, uniform, solver)
     direction = q / sums
     scale = sums.sum() / float(direction @ sums)
     return IndicatorVector("IW", direction * scale, solver=report)
@@ -188,7 +188,7 @@ def eigenfactor(
     _same_size(journals, matrix)
     sums = _nonzero(matrix.row_sums, journals, ZeroOutgoing)
     teleport = _article_share(journals)
-    p, report = spectral.stationary(matrix.counts, alpha, teleport, solver)
+    p, report = spectral.stationary(matrix, alpha, teleport, solver)
     scores = 100.0 * ((p / sums) @ matrix.counts)
     return IndicatorVector("EF", scores, {"alpha": alpha}, report)
 
@@ -236,7 +236,7 @@ def weighted_pagerank(
         if gamma > 0:
             mix = mix + gamma * _article_share(journals)
         teleport = mix / (1.0 - beta)
-    r, report = spectral.stationary(matrix.counts, beta, teleport, solver)
+    r, report = spectral.stationary(matrix, beta, teleport, solver)
     return IndicatorVector("WPR", r, {"beta": beta, "gamma": gamma}, report)
 
 

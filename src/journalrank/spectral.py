@@ -5,14 +5,16 @@ elimination (oracle-grade on small instances) and power iteration (scales
 to larger ones). Tests cross-check them against each other, so keep the
 implementations independent.
 
-Both take the citation counts and their row sums; the row normalization
-is implicit and the power path never builds a share matrix. Below
-SPARSE_DENSITY non-zero cells, each power solve extracts the non-zeros
-once as (row, col, count / row sum) triplets and every step is one
-``np.bincount`` over them; denser inputs use the dense
-``(x / row_sums) @ counts``. An alpha = 1 solve first checks irreducibility
-with ``core.require_irreducible``; the strongly connected components are
-computed only to describe a failure.
+Both take a ``core.CitationMatrix``; the row normalization is implicit and
+the power path never builds a share matrix. The operator's facts are
+derived once per matrix and cached on it: the non-zero count that picks
+the product, the (row, col, count / row sum) triplets of the sparse
+product, the first negative cell and the irreducibility verdict. Below
+SPARSE_DENSITY non-zero cells every power step is one ``np.bincount`` over
+the triplets; denser inputs use the dense ``(x / row_sums) @ counts``. An
+alpha = 1 solve checks irreducibility with ``core.require_irreducible``;
+the strongly connected components are computed only to describe a failure.
+Solved vectors are not cached: every call solves.
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ METHODS = ("auto", "direct", "power")
 # non-zeros instead of the dense matrix. Measured at n = 1000-2000 (one BLAS
 # thread, x86-64): a sparse step costs as much as a dense one at 9-10 %
 # density, and extracting the non-zeros costs 17-26 dense steps. That
-# extraction is repaid after 40-55 steps at 5 % density but only after
-# 60-95 at 7 %, so the lower cut keeps the sparse path ahead on solves of
-# typical length (alpha = 0.85 to 1 takes 70-270 steps at n = 1500, 1 %).
+# extraction, paid once per matrix, is repaid after 40-55 steps at 5 %
+# density but only after 60-95 at 7 %, so the lower cut keeps the sparse
+# path ahead even on a matrix solved only once (alpha = 0.85 to 1 takes
+# 70-270 steps at n = 1500, 1 %).
 SPARSE_DENSITY = 0.05
 
 # Power iteration stops once the extrapolated error (step size times
@@ -90,9 +93,9 @@ def reference_shares(matrix: core.CitationMatrix) -> np.ndarray:
     return matrix.counts / sums[:, None]
 
 
-def _direct(counts: np.ndarray, sums: np.ndarray, alpha: float, teleport: np.ndarray):
-    n = counts.shape[0]
-    shares = counts / sums[:, None]
+def _direct(matrix: core.CitationMatrix, alpha: float, teleport: np.ndarray):
+    n = matrix.n
+    shares = matrix.counts / matrix.row_sums[:, None]
     if alpha == 1.0:
         # Singular eigen-system: replace one equation with the sum constraint.
         system = np.eye(n) - shares.T
@@ -112,20 +115,19 @@ def _direct(counts: np.ndarray, sums: np.ndarray, alpha: float, teleport: np.nda
     return x, SolverReport(0, residual, "direct")
 
 
-def _matvec(counts: np.ndarray, sums: np.ndarray):
-    """Return a function computing ``x`` times the row-normalized ``counts``,
+def _matvec(matrix: core.CitationMatrix):
+    """Return a function computing ``x`` times the row-normalized counts,
     sparse-aware by density."""
-    n = counts.shape[0]
-    if np.count_nonzero(counts) >= SPARSE_DENSITY * n * n:
+    n = matrix.n
+    if matrix.nonzero_count >= SPARSE_DENSITY * n * n:
+        counts, sums = matrix.counts, matrix.row_sums
         return lambda x: (x / sums) @ counts
-    flat = np.flatnonzero(counts)
-    rows, cols = np.divmod(flat, n)
-    vals = counts.ravel()[flat] / sums[rows]
+    rows, cols, vals = matrix.share_triplets
     return lambda x: np.bincount(cols, weights=x[rows] * vals, minlength=n)
 
 
-def _power(counts: np.ndarray, sums: np.ndarray, alpha: float, teleport: np.ndarray, config: SolverConfig):
-    step = _matvec(counts, sums)
+def _power(matrix: core.CitationMatrix, alpha: float, teleport: np.ndarray, config: SolverConfig):
+    step = _matvec(matrix)
     x = np.array(teleport, dtype=float)
     x /= x.sum()
     lazy = alpha == 1.0
@@ -162,7 +164,7 @@ def _power(counts: np.ndarray, sums: np.ndarray, alpha: float, teleport: np.ndar
 
 
 def stationary(
-    shares: np.ndarray,
+    shares: core.CitationMatrix | np.ndarray,
     alpha: float,
     teleport: np.ndarray,
     config: SolverConfig | None = None,
@@ -172,12 +174,14 @@ def stationary(
 
     Parameters
     ----------
-    shares : (n, n) finite, non-negative array whose rows have positive
-        sums, such as ``CitationMatrix.counts``; a negative cell raises
-        ValueError naming the first one. The row normalization is implicit:
-        the power path divides the iterate by the row sums, so no share
-        matrix is built (only the direct path forms S, for its own small
-        solve).
+    shares : a CitationMatrix, or an (n, n) array that is wrapped in one.
+        Its cells must be finite and non-negative and its rows must have
+        positive sums; a negative cell raises ValueError naming the first
+        one. The row normalization is implicit: the power path divides the
+        iterate by the row sums, so no share matrix is built (only the
+        direct path forms S, for its own small solve). Every call runs every
+        check, but the scans behind them (non-zero count, sparse triplets,
+        negative cell, irreducibility) run once per CitationMatrix.
     alpha : damping weight in [0, 1]. 0 returns the teleport vector exactly;
         1 solves the pure eigen-problem and requires an irreducible pattern.
     teleport : non-negative vector summing to 1.
@@ -186,11 +190,12 @@ def stationary(
     Returns the probability vector (non-negative, sums to 1) and a report.
     """
     config = config or SolverConfig()
-    shares = np.asarray(shares, dtype=float)
+    counts = np.asarray(shares, dtype=float)
     teleport = np.asarray(teleport, dtype=float)
-    n = shares.shape[0]
-    if shares.ndim != 2 or shares.shape != (n, n):
+    n = counts.shape[0]
+    if counts.ndim != 2 or counts.shape != (n, n):
         raise ValueError("shares must be a square matrix")
+    matrix = shares if isinstance(shares, core.CitationMatrix) else core.CitationMatrix(counts)
     if teleport.shape != (n,):
         raise ValueError("teleport length must match the matrix")
     if not 0.0 <= alpha <= 1.0:
@@ -199,12 +204,12 @@ def stationary(
         raise ValueError("teleport must be finite")
     if np.any(teleport < 0) or abs(teleport.sum() - 1.0) > 1e-9:
         raise ValueError("teleport must be a probability vector")
-    sums = shares.sum(axis=1)
+    sums = matrix.row_sums
     # A NaN or infinite cell makes its row sum non-finite.
     if not np.all(np.isfinite(sums)):
         raise ValueError("shares must be finite")
-    if shares.min() < 0:
-        i, j = np.argwhere(shares < 0)[0]
+    if matrix.negative_cell is not None:
+        i, j = matrix.negative_cell
         raise ValueError(f"shares cell ({i}, {j}) is negative")
     empty = np.flatnonzero(sums <= 0)
     if empty.size:
@@ -213,11 +218,11 @@ def stationary(
     if alpha == 0.0:
         return teleport.copy(), SolverReport(0, 0.0, "exact")
     if alpha == 1.0:
-        core.require_irreducible(shares)
+        core.require_irreducible(matrix)
 
     method = config.method
     if method == "auto":
         method = "direct" if n <= DIRECT_LIMIT else "power"
     if method == "direct":
-        return _direct(shares, sums, alpha, teleport)
-    return _power(shares, sums, alpha, teleport, config)
+        return _direct(matrix, alpha, teleport)
+    return _power(matrix, alpha, teleport, config)

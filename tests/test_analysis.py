@@ -48,6 +48,17 @@ class TestPearson:
             jr.pearson([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("correlation", (jr.pearson, jr.spearman))
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+@pytest.mark.parametrize("side", ("x", "y"))
+def test_non_finite_input_rejected(correlation, bad, side):
+    clean = [1.0, 2.0, 3.0, 4.0]
+    dirty = [1.0, bad, 3.0, 2.0]
+    x, y = (dirty, clean) if side == "x" else (clean, dirty)
+    with pytest.raises(DegenerateInput, match="inputs must be finite"):
+        correlation(x, y)
+
+
 class TestSpearman:
     def test_tie_ranks_use_run_means(self):
         np.testing.assert_array_equal(jr.average_ranks([1.0, 2.0, 2.0, 3.0]), [1.0, 2.5, 2.5, 4.0])

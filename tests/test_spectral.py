@@ -1,10 +1,11 @@
 import re
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import journalrank as jr
-from journalrank import spectral
+from journalrank import core, spectral
 from journalrank.errors import NoConvergence, NotIrreducible
 from journalrank.spectral import SolverConfig, reference_shares, stationary
 
@@ -192,6 +193,93 @@ class TestSparsePowerPath:
             assert abs(coo_report.iterations - dense_report.iterations) <= 1, name
             assert np.abs(coo - dense).max() < 1e-13, name
             assert np.abs(coo - direct).max() < 1e-10, name
+
+
+class TestOperatorFacts:
+    """What a CitationMatrix derives once: the solve on it equals the solve
+    on its bare counts, and its checks still run on every call."""
+
+    @pytest.mark.parametrize("method", ("direct", "power"))
+    @pytest.mark.parametrize("alpha", (0.5, 0.85, 1.0))
+    def test_matrix_and_counts_solve_bitwise_alike(self, zoo, alpha, method):
+        config = SolverConfig(method=method)
+        for name, journals, matrix in zoo:
+            assert np.asarray(matrix) is matrix.counts, name
+            teleport = journals.articles_t1 / journals.articles_t1.sum()
+            for _ in range(2):  # the second solve reads the cached facts
+                from_matrix, matrix_report = stationary(matrix, alpha, teleport, config)
+                from_counts, counts_report = stationary(matrix.counts, alpha, teleport, config)
+                np.testing.assert_array_equal(from_matrix, from_counts, err_msg=name)
+                assert matrix_report == counts_report, name
+
+    @pytest.mark.parametrize("method", ("direct", "power"))
+    def test_checks_raise_on_every_call(self, method):
+        config = SolverConfig(method=method)
+        uniform = np.full(3, 1.0 / 3.0)
+        negative = jr.CitationMatrix(np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [4.0, -1.0, -0.5]]))
+        reducible = jr.CitationMatrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]))
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape("shares cell (2, 1) is negative")):
+                stationary(negative, 0.85, uniform, config)
+            with pytest.raises(NotIrreducible) as err:
+                stationary(reducible, 1.0, uniform, config)
+            assert sorted(map(sorted, err.value.components)) == [[0, 1], [2]]
+            p, _ = stationary(reducible, 0.85, uniform, config)
+            assert abs(p.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "counts, cell",
+        (
+            ([[1.0, 2.0], [3.0, 0.0]], None),
+            ([[1.0, 2.0], [-3.0, -1.0]], (1, 0)),
+            ([[np.nan, 2.0], [3.0, 0.0]], None),
+            ([[np.nan, -2.0], [3.0, 0.0]], (0, 1)),
+            (np.zeros((0, 0)), None),
+        ),
+    )
+    def test_negative_cell_is_the_first_in_row_major_order(self, counts, cell):
+        assert jr.CitationMatrix(np.array(counts)).negative_cell == cell
+
+    def test_non_zeros_are_extracted_once_per_matrix(self, monkeypatch):
+        extract, sweep = core._share_triplets, core._pattern_irreducible
+        calls = {"extract": 0, "sweep": 0}
+
+        def counted_extract(*args):
+            calls["extract"] += 1
+            return extract(*args)
+
+        def counted_sweep(*args):
+            calls["sweep"] += 1
+            return sweep(*args)
+
+        monkeypatch.setattr(core, "_share_triplets", counted_extract)
+        monkeypatch.setattr(core, "_pattern_irreducible", counted_sweep)
+        matrix = jr.CitationMatrix(np.roll(np.eye(30), 1, axis=1))  # a 30-cycle, 3.3 % dense
+        assert matrix.nonzero_count < spectral.SPARSE_DENSITY * matrix.n**2
+        uniform = np.full(30, 1.0 / 30.0)
+        power = SolverConfig(method="power")
+        first = stationary(matrix, 1.0, uniform, power)
+        second = stationary(matrix, 1.0, uniform, power)
+        stationary(matrix, 0.85, uniform, power)
+        assert calls == {"extract": 1, "sweep": 1}
+        np.testing.assert_array_equal(first[0], second[0])
+        assert first[1] == second[1] and first[1].iterations > 0
+        # A bare array is wrapped afresh, so each of its solves extracts again.
+        stationary(matrix.counts, 0.85, uniform, power)
+        assert calls == {"extract": 2, "sweep": 1}
+
+
+    def test_concurrent_first_use_solves_alike(self):
+        _, sparse, _ = make_block(seed=3, m=200, within=0.025, cross=0.0025)
+        uniform = np.full(sparse.n, 1.0 / sparse.n)
+        alphas = (0.5, 0.85, 1.0) * 4
+        expected = [stationary(sparse.counts, alpha, uniform) for alpha in alphas]
+        fresh = jr.CitationMatrix(sparse.counts)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(lambda alpha: stationary(fresh, alpha, uniform), alphas))
+        for (x, report), (y, expected_report) in zip(results, expected):
+            np.testing.assert_array_equal(x, y)
+            assert report == expected_report
 
 
 class TestIwEigensystem:
