@@ -48,7 +48,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_output_args(p):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--precision", type=int, default=None, help="display decimals (csv default 3; json default full)")
+        p.add_argument(
+            "--precision",
+            type=_precision,
+            default=None,
+            help="display decimals, 0 or more (csv default 3; json default full)",
+        )
 
     def add_param_args(p):
         for name in _PARAM_NAMES:
@@ -68,7 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_corr.add_argument(
         "--indicators",
         required=True,
-        help="comma-separated list, e.g. if,af,ai:0,ai:0.85,wpr:0.9,0",
+        help="comma-separated kind[:p1[:p2]] tokens, parameters in the kind's order, "
+        "e.g. if,af,ai:0,ai:0.85,wpr:0.9:0.05",
     )
     add_solver_args(p_corr)
     add_output_args(p_corr)
@@ -96,6 +102,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--export", required=True, help="directory for journals.csv and matrix.csv")
 
     return parser
+
+
+def _precision(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
 
 
 def _solver_config(args) -> SolverConfig:
@@ -162,17 +175,15 @@ def _cmd_compute(args) -> int:
 
 
 def _parse_indicator_token(token: str):
-    """One correlate token: kind, or kind:p1[,p2] with the kind's parameters in order."""
-    name, _, param_text = token.strip().partition(":")
+    """One correlate token: kind[:p1[:p2]], the kind's parameters in order."""
+    name, *fields = token.strip().split(":")
     name = name.lower()
-    if not param_text:
-        return name, {}
     try:
-        numbers = [float(p) for p in param_text.split(",")]
+        numbers = [float(f) for f in fields]
     except ValueError:
         raise ValueError(f"bad indicator token {token!r}") from None
     names = tuple(indicators.KINDS[name].params) if name in indicators.KINDS else ()
-    if len(numbers) != len(names):
+    if numbers and len(numbers) != len(names):
         raise ValueError(f"bad parameters in indicator token {token!r}")
     return name, dict(zip(names, numbers))
 
@@ -181,20 +192,10 @@ def _cmd_correlate(args) -> int:
     journals, matrix = _load_dataset(args)
     solver = _solver_config(args)
     tokens = [t for t in args.indicators.split(",") if t.strip()]
-    # Re-join beta,gamma pairs split by the comma separator: a token that is
-    # a bare number belongs to the previous token.
-    merged: list[str] = []
-    for token in tokens:
-        if merged and _is_number(token):
-            merged[-1] = merged[-1] + "," + token
-        else:
-            merged.append(token)
-    if len(merged) < 2:
+    if len(tokens) < 2:
         raise ValueError("need at least two indicators to correlate")
-    vectors = []
-    for token in merged:
-        name, params = _parse_indicator_token(token)
-        vectors.append(indicators.compute(name, journals, matrix, solver=solver, **params))
+    parsed = [_parse_indicator_token(token) for token in tokens]
+    vectors = [indicators.compute(name, journals, matrix, solver=solver, **params) for name, params in parsed]
     table = analysis.correlation_table(vectors)
     precision = _csv_precision(args)
     labels = list(table.labels)
@@ -213,14 +214,6 @@ def _cmd_correlate(args) -> int:
         "spearman": [[_round(v, args.precision) for v in row] for row in table.spearman],
     }
     return _emit(args, ["indicator"] + labels, rows, payload)
-
-
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
 
 
 def _cmd_sensitivity(args) -> int:

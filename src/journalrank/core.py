@@ -70,19 +70,19 @@ class JournalSet:
 
 @dataclass(frozen=True)
 class CitationMatrix:
-    """Square grid of citing -> cited counts, immutable, with the facts every
-    solve needs derived once.
+    """Square grid of citing -> cited counts, immutable, with the storage
+    facts every solve needs derived once.
 
     Entries are stored as float64, which keeps integral inputs exact. The
     counts are read-only, so what depends on them alone is computed once per
     matrix: the row sums at construction, and on first use the non-zero
-    count, the (row, col, count / row sum) triplets of the sparse product,
-    the first negative cell and the irreducibility verdict. Each fact is
-    computed in full before it is stored, so concurrent first use is safe (at
-    worst two threads derive the same value). Construction only enforces
-    squareness; content checks (finite, non-negative, dimensions matching a
-    JournalSet) live in ``validate`` so that a single call can report every
-    violation at once. ``np.asarray(matrix)`` gives the counts.
+    count, the raw (row, col, count) non-zeros, the first negative cell and
+    the irreducibility verdict; how the shares act is ``spectral``'s. Each
+    fact is computed in full before it is stored, so concurrent first use is
+    safe (at worst two threads derive the same value). Construction only
+    enforces squareness; content checks (finite, non-negative, dimensions
+    matching a JournalSet) live in ``validate`` so that a single call can
+    report every violation at once. ``np.asarray(matrix)`` gives the counts.
     """
 
     counts: np.ndarray
@@ -114,10 +114,9 @@ class CitationMatrix:
         return int(np.count_nonzero(self.counts))
 
     @cached_property
-    def share_triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, count / row sum) of the non-zero cells, in row-major
-        order. Meaningful once every row sum is positive."""
-        return _share_triplets(self.counts, self.row_sums)
+    def nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (rows, cols, counts) of the non-zero cells, row-major."""
+        return _nonzeros(self.counts)
 
     @cached_property
     def negative_cell(self) -> tuple[int, int] | None:
@@ -132,17 +131,23 @@ class CitationMatrix:
 
     @cached_property
     def irreducible(self) -> bool:
-        """``is_irreducible`` of the counts."""
+        """Whether the non-zero citation pattern is strongly connected.
+
+        Same verdict as ``structure(matrix).irreducible`` (a single journal
+        counts only when it cites itself, an empty matrix never), from a
+        forward and a backward breadth-first sweep out of journal 0 instead
+        of a full SCC pass.
+        """
         return _pattern_irreducible(self.counts > 0)
 
 
-def _share_triplets(counts: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _nonzeros(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     flat = np.flatnonzero(counts)
     rows, cols = np.divmod(flat, counts.shape[0])
-    vals = counts.ravel()[flat] / sums[rows]
-    for array in (rows, cols, vals):
+    values = counts.ravel()[flat]
+    for array in (rows, cols, values):
         array.flags.writeable = False
-    return rows, cols, vals
+    return rows, cols, values
 
 
 @dataclass(frozen=True)
@@ -221,12 +226,6 @@ def size_mismatch(journals: JournalSet, matrix: CitationMatrix) -> str | None:
     return f"journal set has {journals.n} journals but matrix is {matrix.n}x{matrix.n}"
 
 
-def _counts_of(matrix) -> np.ndarray:
-    if isinstance(matrix, CitationMatrix):
-        return matrix.counts
-    return np.asarray(matrix, dtype=float)
-
-
 def _reaches_all(pattern: np.ndarray) -> bool:
     """Whether every node is reachable from node 0 along pattern's rows."""
     seen = np.zeros(pattern.shape[0], dtype=bool)
@@ -245,26 +244,13 @@ def _pattern_irreducible(pattern: np.ndarray) -> bool:
     return _reaches_all(pattern) and _reaches_all(pattern.T)
 
 
-def is_irreducible(matrix) -> bool:
-    """Whether the non-zero citation pattern is strongly connected.
-
-    Same verdict as ``structure(matrix).irreducible`` (a single journal
-    counts only when it cites itself, an empty matrix never), from a forward
-    and a backward breadth-first sweep out of journal 0 instead of a full
-    SCC pass. A CitationMatrix answers from its cached verdict.
-    """
-    if isinstance(matrix, CitationMatrix):
-        return matrix.irreducible
-    return _pattern_irreducible(_counts_of(matrix) > 0)
-
-
-def require_irreducible(matrix) -> None:
-    """Raise NotIrreducible unless ``is_irreducible(matrix)``.
+def require_irreducible(matrix: CitationMatrix) -> None:
+    """Raise NotIrreducible unless ``matrix.irreducible``.
 
     Only a failure pays for the strongly connected components that the
     error carries.
     """
-    if not is_irreducible(matrix):
+    if not matrix.irreducible:
         raise NotIrreducible(strongly_connected_components(matrix))
 
 
@@ -274,7 +260,7 @@ def strongly_connected_components(matrix) -> list[list[int]]:
     Iterative Tarjan; accepts a CitationMatrix or a bare array. Components
     are returned as lists of journal indices.
     """
-    counts = _counts_of(matrix)
+    counts = np.asarray(matrix, dtype=float)
     n = counts.shape[0]
     adjacency = [np.nonzero(counts[v] > 0)[0].tolist() for v in range(n)]
 
@@ -332,7 +318,7 @@ def structure(matrix) -> StructureReport:
     irreducible only when it cites itself. Periodicity is not reported: no
     solver needs it, since the alpha = 1 power path takes lazy half-steps.
     """
-    counts = _counts_of(matrix)
+    counts = np.asarray(matrix, dtype=float)
     if counts.shape[0] == 1:
         return StructureReport(bool(counts[0, 0] > 0))
     return StructureReport(len(strongly_connected_components(counts)) == 1)

@@ -19,8 +19,9 @@ or an id (``errors.quote``); an issue's ``journal`` keeps the exact id.
 Ids are written in full and matched exactly on read, so files for
 reduced instances (dropped journals) stay unambiguous. For a dataset with
 integral counts, writing then re-reading and re-writing reproduces the
-files byte for byte; a matrix with a non-integral count is written
-(``1.5``) but cannot be read back.
+files byte for byte, whatever the ids and names hold (commas, quotes, line
+breaks; a file with a carriage return in one quotes every field); a matrix
+with a non-integral count is written (``1.5``) but cannot be read back.
 """
 
 from __future__ import annotations
@@ -43,6 +44,17 @@ _LISTED_IDS = 5
 
 def _fail(code: str, message: str, **kw) -> ValidationError:
     return ValidationError([Issue(code, message, **kw)])
+
+
+def _writer(handle, texts):
+    """A csv writer with line-feed row ends for a file whose text fields are ``texts``.
+
+    The writer quotes a field only for the characters of its line
+    terminator, so a bare carriage return would be written unquoted and end
+    the row when read back; a file with one quotes every field instead.
+    """
+    carriage = any("\r" in text for text in texts)
+    return csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL if carriage else csv.QUOTE_MINIMAL)
 
 
 def _read_rows(path: str | Path) -> list[list[str]]:
@@ -97,7 +109,7 @@ def read_journals(path: str | Path) -> JournalSet:
 
 def write_journals(path: str | Path, journals: JournalSet) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
+        writer = _writer(handle, [text for j in journals.journals for text in (j.id, j.name or "")])
         writer.writerow(JOURNALS_HEADER)
         for journal in journals.journals:
             writer.writerow(
@@ -146,7 +158,7 @@ def read_matrix(path: str | Path, journals: JournalSet) -> CitationMatrix:
 def write_matrix(path: str | Path, journals: JournalSet, matrix: CitationMatrix) -> None:
     ids = list(journals.ids)
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
+        writer = _writer(handle, ids)
         writer.writerow([MATRIX_CORNER] + ids)
         counts = matrix.counts
         # One cast when every count is integral and fits int64; _format_count
@@ -201,7 +213,7 @@ def _quote_ids(ids: list[str]) -> str:
 
 def write_partition(path: str | Path, journals: JournalSet, partition: FieldPartition) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
+        writer = _writer(handle, journals.ids)
         writer.writerow(PARTITION_HEADER)
         for ident, field_label in zip(journals.ids, partition.field_of):
             writer.writerow([ident, field_label])

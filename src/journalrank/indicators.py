@@ -118,18 +118,17 @@ def audience_factor(journals: core.JournalSet, matrix: core.CitationMatrix) -> I
     """Impact factor with each citation down-weighted by the citing journal's
     referencing intensity relative to the overall average.
 
-    A citation from a journal with many references per article counts less;
-    journals that cite at the average rate contribute with weight one.
+    A citation from journal j counts overall_rate * a2[j] / s[j], one at the
+    average rate. The weighted received citations, overall_rate * (a2 @ S)
+    with S the row-normalized counts, are the scaled alpha = 0 flow of the
+    a2 teleport, taken from EF's product ``spectral.share_step``.
     """
     _same_size(journals, matrix)
     a1 = _nonzero(journals.articles_t1, journals, ZeroArticles)
     a2 = _nonzero(journals.articles_t2, journals, ZeroArticlesT2)
     sums = _nonzero(matrix.row_sums, journals, ZeroOutgoing)
-    per_journal_rate = sums / a2
     overall_rate = sums.sum() / a2.sum()
-    weights = overall_rate / per_journal_rate
-    weighted_received = weights @ matrix.counts
-    return IndicatorVector("AF", weighted_received / a1)
+    return IndicatorVector("AF", overall_rate * spectral.share_step(matrix)(a2) / a1)
 
 
 def influence_weights(
@@ -183,13 +182,14 @@ def eigenfactor(
     A stationary vector p solves
     p[i] = alpha * sum_j p[j] * counts[j, i] / s[j] + (1 - alpha) * a1[i] / sum(a1),
     and the score of journal i is 100 times the citation flow it receives
-    under p. alpha = 1 requires an irreducible matrix.
+    under p, p @ S through the solver's own product ``spectral.share_step``.
+    alpha = 1 requires an irreducible matrix.
     """
     _same_size(journals, matrix)
-    sums = _nonzero(matrix.row_sums, journals, ZeroOutgoing)
+    _nonzero(matrix.row_sums, journals, ZeroOutgoing)
     teleport = _article_share(journals)
     p, report = spectral.stationary(matrix, alpha, teleport, solver)
-    scores = 100.0 * ((p / sums) @ matrix.counts)
+    scores = 100.0 * spectral.share_step(matrix)(p)
     return IndicatorVector("EF", scores, {"alpha": alpha}, report)
 
 

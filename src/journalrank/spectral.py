@@ -1,20 +1,17 @@
-"""Stationary-vector machinery for the citation-share operator.
+"""The citation-share operator and its stationary vectors.
+
+The only module that knows how the share matrix S = diag(1 / row_sums) @
+counts acts. ``share_step(matrix)`` is the product x -> x @ S: the power
+path iterates it and the EF and AF flows apply it. ``reference_shares``
+builds S densely, for the direct path.
 
 Two independent paths solve the same fixed-point problems: dense direct
 elimination (oracle-grade on small instances) and power iteration (scales
 to larger ones). Tests cross-check them against each other, so keep the
-implementations independent.
-
-Both take a ``core.CitationMatrix``; the row normalization is implicit and
-the power path never builds a share matrix. The operator's facts are
-derived once per matrix and cached on it: the non-zero count that picks
-the product, the (row, col, count / row sum) triplets of the sparse
-product, the first negative cell and the irreducibility verdict. Below
-SPARSE_DENSITY non-zero cells every power step is one ``np.bincount`` over
-the triplets; denser inputs use the dense ``(x / row_sums) @ counts``. An
-alpha = 1 solve checks irreducibility with ``core.require_irreducible``;
-the strongly connected components are computed only to describe a failure.
-Solved vectors are not cached: every call solves.
+implementations independent. An alpha = 1 solve checks irreducibility with
+``core.require_irreducible``; the strongly connected components are
+computed only to describe a failure. Solved vectors are not cached: every
+call solves.
 """
 
 from __future__ import annotations
@@ -93,9 +90,27 @@ def reference_shares(matrix: core.CitationMatrix) -> np.ndarray:
     return matrix.counts / sums[:, None]
 
 
+def share_step(matrix: core.CitationMatrix):
+    """Return the product x -> x @ S with S the row-normalized counts.
+
+    Below SPARSE_DENSITY non-zero cells it sums over the non-zeros alone,
+    each divided by its row sum once per call of ``share_step``; denser
+    inputs use the dense ``(x / row_sums) @ counts``. Meaningful once every
+    row sum is positive.
+    """
+    n = matrix.n
+    sums = matrix.row_sums
+    if matrix.nonzero_count >= SPARSE_DENSITY * n * n:
+        counts = matrix.counts
+        return lambda x: (x / sums) @ counts
+    rows, cols, counts = matrix.nonzeros
+    shares = counts / sums[rows]
+    return lambda x: np.bincount(cols, weights=x[rows] * shares, minlength=n)
+
+
 def _direct(matrix: core.CitationMatrix, alpha: float, teleport: np.ndarray):
     n = matrix.n
-    shares = matrix.counts / matrix.row_sums[:, None]
+    shares = reference_shares(matrix)
     if alpha == 1.0:
         # Singular eigen-system: replace one equation with the sum constraint.
         system = np.eye(n) - shares.T
@@ -115,19 +130,8 @@ def _direct(matrix: core.CitationMatrix, alpha: float, teleport: np.ndarray):
     return x, SolverReport(0, residual, "direct")
 
 
-def _matvec(matrix: core.CitationMatrix):
-    """Return a function computing ``x`` times the row-normalized counts,
-    sparse-aware by density."""
-    n = matrix.n
-    if matrix.nonzero_count >= SPARSE_DENSITY * n * n:
-        counts, sums = matrix.counts, matrix.row_sums
-        return lambda x: (x / sums) @ counts
-    rows, cols, vals = matrix.share_triplets
-    return lambda x: np.bincount(cols, weights=x[rows] * vals, minlength=n)
-
-
 def _power(matrix: core.CitationMatrix, alpha: float, teleport: np.ndarray, config: SolverConfig):
-    step = _matvec(matrix)
+    step = share_step(matrix)
     x = np.array(teleport, dtype=float)
     x /= x.sum()
     lazy = alpha == 1.0
@@ -174,14 +178,14 @@ def stationary(
 
     Parameters
     ----------
-    shares : a CitationMatrix, or an (n, n) array that is wrapped in one.
+    shares : a CitationMatrix, or a square array that is wrapped in one.
         Its cells must be finite and non-negative and its rows must have
         positive sums; a negative cell raises ValueError naming the first
-        one. The row normalization is implicit: the power path divides the
-        iterate by the row sums, so no share matrix is built (only the
-        direct path forms S, for its own small solve). Every call runs every
-        check, but the scans behind them (non-zero count, sparse triplets,
-        negative cell, irreducibility) run once per CitationMatrix.
+        one. The row normalization is implicit: the power path iterates
+        ``share_step``, so no share matrix is built (only the direct path
+        forms S, for its own small solve). Every call runs every check, but
+        the scans behind them (non-zero count, non-zeros, negative cell,
+        irreducibility) run once per CitationMatrix.
     alpha : damping weight in [0, 1]. 0 returns the teleport vector exactly;
         1 solves the pure eigen-problem and requires an irreducible pattern.
     teleport : non-negative vector summing to 1.
@@ -190,12 +194,9 @@ def stationary(
     Returns the probability vector (non-negative, sums to 1) and a report.
     """
     config = config or SolverConfig()
-    counts = np.asarray(shares, dtype=float)
+    matrix = shares if isinstance(shares, core.CitationMatrix) else core.CitationMatrix(shares)
     teleport = np.asarray(teleport, dtype=float)
-    n = counts.shape[0]
-    if counts.ndim != 2 or counts.shape != (n, n):
-        raise ValueError("shares must be a square matrix")
-    matrix = shares if isinstance(shares, core.CitationMatrix) else core.CitationMatrix(counts)
+    n = matrix.n
     if teleport.shape != (n,):
         raise ValueError("teleport length must match the matrix")
     if not 0.0 <= alpha <= 1.0:

@@ -9,7 +9,6 @@ import numpy as np
 from .core import CitationMatrix, Journal, JournalSet
 from .errors import GenerationFailed
 from .properties import FieldPartition
-from . import core
 
 # Reference scores for the bundled two-field example (first coverage
 # scenario), used by the demo command and golden-file tests.
@@ -126,7 +125,7 @@ def block_model(spec: BlockModelSpec) -> tuple[JournalSet, CitationMatrix, Field
         matrix = CitationMatrix(counts)
         if np.any(matrix.row_sums == 0):
             continue
-        if not core.is_irreducible(matrix):
+        if not matrix.irreducible:
             continue
         journals = JournalSet(
             tuple(

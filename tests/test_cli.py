@@ -317,6 +317,14 @@ class TestCompute:
             assert (code, out) == (1, "")
             assert "invalid choice" in err
 
+    @pytest.mark.parametrize("output", (["--format", "csv"], ["--format", "json"]))
+    def test_negative_precision_is_a_usage_error(self, capsys, dataset, output):
+        code, out, err = run(
+            capsys, "compute", *base_args(dataset), "--indicator", "if", *output, "--precision", "-1"
+        )
+        assert (code, out) == (1, "")
+        assert "--precision: must be a non-negative integer" in err
+
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
@@ -365,7 +373,7 @@ class TestCorrelate:
             "correlate",
             *base_args(dataset),
             "--indicators",
-            "if,wpr:0.9,0.05,sjr",
+            "if,wpr:0.9:0.05,sjr",
             "--format",
             "json",
         )
@@ -389,7 +397,13 @@ class TestCorrelate:
         assert code == 1
         assert json.loads(err)["error"] == "ValueError"
         assert json.loads(err)["message"] == "need at least two indicators to correlate"
-        for tokens, bad in (("if:3,af", "if:3"), ("ai:1,2,if", "ai:1,2"), ("wpr:0.9,af", "wpr:0.9")):
+        cases = (
+            ("if:3,af", "if:3"),
+            ("ai:1:2,if", "ai:1:2"),
+            ("wpr:0.9,af", "wpr:0.9"),
+            ("if,wpr:0.9,0.05", "wpr:0.9"),  # the comma form of the parameters is gone
+        )
+        for tokens, bad in cases:
             code, out, err = run(capsys, "correlate", *base_args(dataset), "--indicators", tokens)
             assert (code, out) == (1, "")
             assert json.loads(err) == {

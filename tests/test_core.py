@@ -169,7 +169,7 @@ class TestIsIrreducible:
     )
     def test_edge_cases_match_structure(self, counts, expected):
         matrix = jr.CitationMatrix(np.array(counts))
-        assert core.is_irreducible(matrix) is expected
+        assert matrix.irreducible is expected
         assert jr.structure(matrix).irreducible is expected
         if expected:
             assert core.require_irreducible(matrix) is None
@@ -185,7 +185,7 @@ class TestIsIrreducible:
             n = int(rng.integers(1, 40))
             density = rng.uniform(0.01, 0.3)
             counts = (rng.random((n, n)) < density) * rng.integers(1, 5, size=(n, n)).astype(float)
-            verdict = core.is_irreducible(counts)
+            verdict = jr.CitationMatrix(counts).irreducible
             assert verdict == jr.structure(counts).irreducible, counts
             verdicts.append(verdict)
         assert 30 <= sum(verdicts) <= 270
@@ -223,7 +223,7 @@ class TestDropJournal:
         journals, matrix = two_field
         for index in range(journals.n):
             _, reduced = jr.drop_journal(journals, matrix, index)
-            assert jr.structure(reduced).irreducible == core.is_irreducible(reduced)
+            assert jr.structure(reduced).irreducible == reduced.irreducible
 
 
 class TestInvariants:

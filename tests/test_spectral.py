@@ -195,6 +195,39 @@ class TestSparsePowerPath:
             assert np.abs(coo - direct).max() < 1e-10, name
 
 
+class TestShareStep:
+    """``share_step`` is the one product x -> x @ S; both of its realizations
+    agree with the dense share matrix, and the indicators' flows do not
+    depend on which one runs."""
+
+    # Above 1 even a matrix without a zero cell takes the sparse sum.
+    @pytest.mark.parametrize("density", (0.0, 2.0), ids=("dense", "sparse"))
+    def test_matches_the_dense_share_matrix(self, zoo, density, monkeypatch):
+        monkeypatch.setattr(spectral, "SPARSE_DENSITY", density)
+        rng = np.random.default_rng(5)
+        for name, journals, matrix in zoo:
+            shares = reference_shares(matrix)
+            for x in (journals.articles_t2, rng.dirichlet(np.ones(matrix.n))):
+                step = spectral.share_step(matrix)(x)
+                np.testing.assert_allclose(step, x @ shares, rtol=1e-14, atol=0, err_msg=name)
+
+    def test_indicator_flows_do_not_depend_on_the_realization(self, monkeypatch):
+        journals, matrix, _ = make_block(seed=3, m=200, within=0.025, cross=0.0025)
+        assert matrix.nonzero_count < spectral.SPARSE_DENSITY * matrix.n**2
+        for kind in ("ef", "af"):
+            sparse = jr.compute(kind, journals, matrix).values
+            with monkeypatch.context() as patch:
+                patch.setattr(spectral, "SPARSE_DENSITY", 0.0)
+                dense = jr.compute(kind, journals, matrix).values
+            assert np.abs(sparse - dense).sum() <= 1e-12 * np.abs(dense).sum(), kind
+            if kind == "ef":
+                assert sparse.sum() == pytest.approx(100.0, abs=1e-9)
+
+    def test_non_square_array_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            stationary(np.ones((2, 3)), 0.5, np.array([0.5, 0.5]))
+
+
 class TestOperatorFacts:
     """What a CitationMatrix derives once: the solve on it equals the solve
     on its bare counts, and its checks still run on every call."""
@@ -241,7 +274,7 @@ class TestOperatorFacts:
         assert jr.CitationMatrix(np.array(counts)).negative_cell == cell
 
     def test_non_zeros_are_extracted_once_per_matrix(self, monkeypatch):
-        extract, sweep = core._share_triplets, core._pattern_irreducible
+        extract, sweep = core._nonzeros, core._pattern_irreducible
         calls = {"extract": 0, "sweep": 0}
 
         def counted_extract(*args):
@@ -252,7 +285,7 @@ class TestOperatorFacts:
             calls["sweep"] += 1
             return sweep(*args)
 
-        monkeypatch.setattr(core, "_share_triplets", counted_extract)
+        monkeypatch.setattr(core, "_nonzeros", counted_extract)
         monkeypatch.setattr(core, "_pattern_irreducible", counted_sweep)
         matrix = jr.CitationMatrix(np.roll(np.eye(30), 1, axis=1))  # a 30-cycle, 3.3 % dense
         assert matrix.nonzero_count < spectral.SPARSE_DENSITY * matrix.n**2
