@@ -13,12 +13,13 @@ Failures print a one-line JSON error record to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import analysis, core, dataio, indicators, properties, synth
 from .errors import JournalRankError, NoConvergence, NotIrreducible, ValidationError
@@ -123,23 +124,31 @@ def _load_dataset(args) -> tuple[core.JournalSet, core.CitationMatrix]:
     return core.validate(journals, matrix)
 
 
-def _fmt(value: float, precision: int) -> str:
-    return f"{value:.{precision}f}"
-
-
-def _round(value: float, precision: int | None) -> float:
+def _round(value: float | None, precision: int | None) -> float | None:
+    """A JSON number: None or NaN as None (null), else rounded when ``precision`` is given."""
+    if value is None or math.isnan(value):
+        return None
     return float(value) if precision is None else round(float(value), precision)
 
 
-def _emit(args, header, rows, payload) -> int:
-    """Write one command's result: header and rows as CSV, or payload as JSON.
+def _cell(value, precision: int) -> str:
+    """A CSV cell: text as is, a bool as true/false, None or NaN empty, else ``precision`` decimals."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return str(value).lower()
+    if value is None or math.isnan(value):
+        return ""
+    return f"{value:.{precision}f}"
 
-    Rows are lazy, so their display formatting runs only for CSV output.
-    """
+
+def _emit(args, header, rows, payload) -> int:
+    """Write one command's result as CSV, the raw rows' values made cells by ``_cell`` and
+    written in the files' dialect (``dataio.csv_writer``), or as the JSON payload."""
     if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        precision = _csv_precision(args)
+        table = [header] + [[_cell(value, precision) for value in row] for row in rows]
+        dataio.csv_writer(sys.stdout, [text for row in table for text in row]).writerows(table)
     else:
         json.dump(payload, sys.stdout)
         sys.stdout.write("\n")
@@ -161,8 +170,7 @@ def _compute(args, journals, matrix) -> indicators.IndicatorVector:
 def _cmd_compute(args) -> int:
     journals, matrix = _load_dataset(args)
     vector = _compute(args, journals, matrix)
-    precision = _csv_precision(args)
-    rows = ([ident, _fmt(value, precision)] for ident, value in zip(journals.ids, vector.values))
+    rows = zip(journals.ids, vector.values)
     payload = {
         "indicator": args.indicator,
         "params": dict(vector.params),
@@ -197,17 +205,10 @@ def _cmd_correlate(args) -> int:
     parsed = [_parse_indicator_token(token) for token in tokens]
     vectors = [indicators.compute(name, journals, matrix, solver=solver, **params) for name, params in parsed]
     table = analysis.correlation_table(vectors)
-    precision = _csv_precision(args)
     labels = list(table.labels)
-    # Pearson below the diagonal, Spearman above, 1 on it.
-    rows = (
-        [label]
-        + [
-            _fmt(1.0 if i == j else table.pearson[i, j] if i > j else table.spearman[i, j], precision)
-            for j in range(len(labels))
-        ]
-        for i, label in enumerate(labels)
-    )
+    # Pearson below the diagonal, Spearman on and above it (its diagonal is 1).
+    grid = np.where(np.tri(len(labels), k=-1, dtype=bool), table.pearson, table.spearman)
+    rows = ([label, *row] for label, row in zip(labels, grid))
     payload = {
         "labels": labels,
         "pearson": [[_round(v, args.precision) for v in row] for row in table.pearson],
@@ -218,43 +219,30 @@ def _cmd_correlate(args) -> int:
 
 def _cmd_sensitivity(args) -> int:
     journals, matrix = _load_dataset(args)
-    precision = _csv_precision(args)
     params = _indicator_params(args)
 
     if args.sweep:
         reports = properties.leave_one_out_sweep(journals, matrix, args.indicator, **params)
         results = [(journals.ids[r.dropped], r.max_relative_change) for r in reports]
         results.sort(key=lambda item: (-item[1], item[0]))
-        rows = ([ident, _fmt(change, precision)] for ident, change in results)
         payload = {
             "sweep": [
                 {"dropped": ident, "max_relative_change": _round(change, args.precision)}
                 for ident, change in results
             ]
         }
-        return _emit(args, ["dropped_id", "max_relative_change"], rows, payload)
+        return _emit(args, ["dropped_id", "max_relative_change"], results, payload)
 
     drop_index = journals.index_of(args.drop)
     report = properties.leave_one_out(journals, matrix, drop_index, args.indicator, **params)
     survivor_ids = [ident for k, ident in enumerate(journals.ids) if k != drop_index]
-    rows = (
-        [
-            ident,
-            _fmt(before, precision),
-            _fmt(after, precision),
-            "" if math.isnan(rel) else _fmt(rel, precision),
-        ]
-        for ident, before, after, rel in zip(
-            survivor_ids, report.before, report.after, report.relative_change
-        )
-    )
+    rows = zip(survivor_ids, report.before, report.after, report.relative_change)
     payload = {
         "dropped": args.drop,
         "before": {i: _round(v, args.precision) for i, v in zip(survivor_ids, report.before)},
         "after": {i: _round(v, args.precision) for i, v in zip(survivor_ids, report.after)},
         "relative_change": {
-            i: (None if math.isnan(v) else _round(v, args.precision))
-            for i, v in zip(survivor_ids, report.relative_change)
+            i: _round(v, args.precision) for i, v in zip(survivor_ids, report.relative_change)
         },
         "max_relative_change": _round(report.max_relative_change, args.precision),
     }
@@ -266,7 +254,8 @@ def _cmd_field_check(args) -> int:
     partition = dataio.read_partition(args.partition, journals)
     vector = _compute(args, journals, matrix)
     report = properties.field_insensitivity_check(journals, matrix, partition, vector)
-    precision = _csv_precision(args)
+    # delta keeps at least 6 decimals, so a small leakage bound is not rounded away.
+    delta_digits = max(_csv_precision(args), 6)
     header = [
         "delta",
         "field1_mean",
@@ -277,20 +266,21 @@ def _cmd_field_check(args) -> int:
         "balanced",
         "eta",
     ]
-    rows = (
-        [
-            _fmt(r.delta, max(precision, 6)),
-            _fmt(r.field_means[0], precision),
-            _fmt(r.field_means[1], precision),
-            _fmt(r.overall_mean, precision),
-            str(r.bounds_hold[0]).lower(),
-            str(r.bounds_hold[1]).lower(),
-            str(r.balanced).lower(),
-            "" if r.eta is None else _fmt(r.eta, precision),
-        ]
-        for r in (report,)
-    )
-    return _emit(args, header, rows, dataclasses.asdict(report))
+    row = [
+        f"{report.delta:.{delta_digits}f}",
+        *report.field_means,
+        report.overall_mean,
+        *report.bounds_hold,
+        report.balanced,
+        report.eta,
+    ]
+    payload = dataclasses.asdict(report) | {
+        "delta": _round(report.delta, None if args.precision is None else delta_digits),
+        "field_means": [_round(mean, args.precision) for mean in report.field_means],
+        "overall_mean": _round(report.overall_mean, args.precision),
+        "eta": _round(report.eta, args.precision),
+    }
+    return _emit(args, header, [row], payload)
 
 
 def _cmd_demo(args) -> int:

@@ -20,8 +20,11 @@ Ids are written in full and matched exactly on read, so files for
 reduced instances (dropped journals) stay unambiguous. For a dataset with
 integral counts, writing then re-reading and re-writing reproduces the
 files byte for byte, whatever the ids and names hold (commas, quotes, line
-breaks; a file with a carriage return in one quotes every field); a matrix
-with a non-integral count is written (``1.5``) but cannot be read back.
+breaks; a file with a carriage return in one quotes every field), for ids
+and names up to 131,072 characters, the csv module's field limit; a longer
+field, like any file the csv reader rejects, fails with ``MalformedCsv``
+naming the file and line. A matrix with a non-integral count is written
+(``1.5``) but cannot be read back.
 """
 
 from __future__ import annotations
@@ -46,12 +49,13 @@ def _fail(code: str, message: str, **kw) -> ValidationError:
     return ValidationError([Issue(code, message, **kw)])
 
 
-def _writer(handle, texts):
-    """A csv writer with line-feed row ends for a file whose text fields are ``texts``.
+def csv_writer(handle, texts):
+    """The one CSV dialect, of the dataset files and the CLI's stdout: a writer
+    with line-feed row ends for ``handle``, whose text fields are ``texts``.
 
-    The writer quotes a field only for the characters of its line
+    Minimal quoting quotes a field only for the characters of the line
     terminator, so a bare carriage return would be written unquoted and end
-    the row when read back; a file with one quotes every field instead.
+    the row when read back; output with one quotes every field instead.
     """
     carriage = any("\r" in text for text in texts)
     return csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL if carriage else csv.QUOTE_MINIMAL)
@@ -59,7 +63,11 @@ def _writer(handle, texts):
 
 def _read_rows(path: str | Path) -> list[list[str]]:
     with open(path, newline="", encoding="utf-8") as handle:
-        return list(csv.reader(handle))
+        reader = csv.reader(handle)
+        try:
+            return list(reader)
+        except csv.Error as exc:
+            raise _fail("MalformedCsv", f"{path}, line {reader.line_num}: {exc}") from None
 
 
 def _parse_count(text: str, what: str) -> int:
@@ -109,7 +117,7 @@ def read_journals(path: str | Path) -> JournalSet:
 
 def write_journals(path: str | Path, journals: JournalSet) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = _writer(handle, [text for j in journals.journals for text in (j.id, j.name or "")])
+        writer = csv_writer(handle, [text for j in journals.journals for text in (j.id, j.name or "")])
         writer.writerow(JOURNALS_HEADER)
         for journal in journals.journals:
             writer.writerow(
@@ -158,7 +166,7 @@ def read_matrix(path: str | Path, journals: JournalSet) -> CitationMatrix:
 def write_matrix(path: str | Path, journals: JournalSet, matrix: CitationMatrix) -> None:
     ids = list(journals.ids)
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = _writer(handle, ids)
+        writer = csv_writer(handle, ids)
         writer.writerow([MATRIX_CORNER] + ids)
         counts = matrix.counts
         # One cast when every count is integral and fits int64; _format_count
@@ -213,7 +221,7 @@ def _quote_ids(ids: list[str]) -> str:
 
 def write_partition(path: str | Path, journals: JournalSet, partition: FieldPartition) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = _writer(handle, journals.ids)
+        writer = csv_writer(handle, journals.ids)
         writer.writerow(PARTITION_HEADER)
         for ident, field_label in zip(journals.ids, partition.field_of):
             writer.writerow([ident, field_label])

@@ -1,10 +1,12 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
 import journalrank as jr
-from journalrank import core, dataio, indicators
+from journalrank import core, dataio, indicators, properties
 from journalrank.cli import main
 
 # Golden CSV for the bundled two-field dataset at display precision 3.
@@ -57,6 +59,20 @@ def run(capsys, *argv):
 
 def base_args(dataset):
     return ["--journals", str(dataset / "journals.csv"), "--matrix", str(dataset / "matrix.csv")]
+
+
+def export(tmp_path, journals, matrix, partition=None):
+    """Write the dataset files into tmp_path and return the CLI arguments naming them."""
+    dataio.write_journals(tmp_path / "journals.csv", journals)
+    dataio.write_matrix(tmp_path / "matrix.csv", journals, matrix)
+    if partition is None:
+        return base_args(tmp_path)
+    dataio.write_partition(tmp_path / "partition.csv", journals, partition)
+    return base_args(tmp_path) + ["--partition", str(tmp_path / "partition.csv")]
+
+
+def csv_rows(out):
+    return list(csv.reader(io.StringIO(out, newline="")))
 
 
 class TestCompute:
@@ -325,6 +341,42 @@ class TestCompute:
         assert (code, out) == (1, "")
         assert "--precision: must be a non-negative integer" in err
 
+    @pytest.mark.parametrize(
+        "command, ids",
+        [
+            (["compute"], ["a\rb", "c", "d", "e"]),
+            (["sensitivity", "--drop", "d"], ["a\rb", "c", "e"]),
+            (["sensitivity", "--sweep"], ["a\rb", "c", "d", "e"]),
+        ],
+        ids=["compute", "drop", "sweep"],
+    )
+    def test_carriage_return_id_reads_back_as_one_row(self, capsys, tmp_path, command, ids):
+        journals = jr.JournalSet(tuple(jr.Journal(i, None, 5, 5) for i in ("a\rb", "c", "d", "e")))
+        matrix = jr.CitationMatrix(np.arange(1.0, 17.0).reshape(4, 4))
+        files = export(tmp_path, journals, matrix)
+        code, out, err = run(capsys, command[0], *files, "--indicator", "if", *command[1:])
+        assert (code, err) == (0, "")
+        rows = csv_rows(out)
+        assert all(len(row) == len(rows[0]) for row in rows)
+        assert sorted(row[0] for row in rows[1:]) == sorted(ids)
+
+    @pytest.mark.parametrize("bad_file", ["journals", "matrix", "partition"])
+    def test_oversized_field_is_a_malformed_csv_record(self, capsys, tmp_path, bad_file):
+        huge = "x" * 200_000
+        files = export(tmp_path, *jr.two_field_example(), jr.two_field_partition())
+        path = tmp_path / f"{bad_file}.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].replace("J2", huge, 1)
+        path.write_text("".join(lines))
+        code, out, err = run(capsys, "field-check", *files, "--indicator", "if")
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "ValidationError"
+        (issue,) = record["issues"]
+        assert issue["code"] == "MalformedCsv"
+        assert issue["message"] == f"{path}, line 3: field larger than field limit (131072)"
+
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
@@ -443,6 +495,20 @@ class TestSensitivity:
         assert changes == sorted(changes, reverse=True)
         assert len(rows) == 8
 
+    def test_uncited_journal_has_an_empty_relative_change(self, capsys, tmp_path):
+        # F is never cited: its IF is 0 before and after, so its relative change is undefined.
+        journals = jr.JournalSet(tuple(jr.Journal(i, None, 5, 5) for i in "ABCDEF"))
+        counts = np.arange(1.0, 37.0).reshape(6, 6)
+        counts[:, 5] = 0
+        files = export(tmp_path, journals, jr.CitationMatrix(counts))
+        args = ["sensitivity", *files, "--indicator", "if", "--drop", "C"]
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert out.splitlines()[-1] == "F,0.000,0.000,"
+        code, out, _ = run(capsys, *args, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["relative_change"]["F"] is None
+
     def test_unknown_drop_id(self, capsys, dataset):
         code, _, err = run(
             capsys, "sensitivity", *base_args(dataset), "--indicator", "ipp", "--drop", "nope"
@@ -478,6 +544,42 @@ class TestFieldCheck:
         assert payload["bounds_hold"][0] is False
         assert payload["field_means"][0] == pytest.approx(7.5, abs=1e-9)
         assert payload["balanced"] is True
+
+
+    @pytest.mark.parametrize("precision", [0, 2, 8])
+    def test_json_honours_precision(self, capsys, tmp_path, precision):
+        journals, matrix, partition = jr.block_model(jr.BlockModelSpec(journals_per_field=5, seed=3))
+        files = export(tmp_path, journals, matrix, partition)
+        args = ["field-check", *files, "--indicator", "ipp", "--format", "json"]
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        full = json.loads(out)
+        report = properties.field_insensitivity_check(
+            journals, matrix, partition, indicators.influence_per_publication(journals, matrix)
+        )
+        # The means carry more decimals than the precision asked for.
+        assert full["field_means"] == list(report.field_means)
+        assert all(round(mean, 8) != mean for mean in report.field_means)
+        code, out, _ = run(capsys, *args, "--precision", str(precision))
+        assert code == 0
+        assert json.loads(out) == {
+            "delta": round(report.delta, max(precision, 6)),
+            "field_means": [round(mean, precision) for mean in report.field_means],
+            "overall_mean": round(report.overall_mean, precision),
+            "bounds_hold": list(report.bounds_hold),
+            "balanced": report.balanced,
+            "eta": round(report.eta, precision),
+        }
+
+    def test_uneven_article_ratios_leave_eta_empty(self, capsys, tmp_path):
+        journals = jr.JournalSet(tuple(jr.Journal(i, None, 10, 10 + k) for k, i in enumerate("ABCD")))
+        matrix = jr.CitationMatrix(np.arange(1.0, 17.0).reshape(4, 4))
+        files = export(tmp_path, journals, matrix, jr.FieldPartition((1, 1, 2, 2)))
+        code, out, _ = run(capsys, "field-check", *files, "--indicator", "if")
+        assert code == 0
+        assert csv_rows(out)[1][-2:] == ["true", ""]
+        code, out, _ = run(capsys, "field-check", *files, "--indicator", "if", "--format", "json")
+        assert json.loads(out)["eta"] is None
 
 
 class TestDemo:

@@ -50,6 +50,23 @@ class TestRoundTrip:
         assert read_journals.journals[1].name is None
 
 
+    def test_round_trip_holds_up_to_the_csv_field_limit(self, tmp_path):
+        # The csv module reads fields of at most 131072 characters.
+        matrix = jr.CitationMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        longest = jr.JournalSet((jr.Journal("i" * 131_072, "n" * 131_072, 5, 5), jr.Journal("b", None, 5, 5)))
+        read_journals, _ = roundtrip(tmp_path, longest, matrix)
+        assert read_journals == longest
+        too_long = jr.JournalSet((jr.Journal("i" * 131_073, None, 5, 5), jr.Journal("b", None, 5, 5)))
+        dataio.write_journals(tmp_path / "long.csv", too_long)
+        with pytest.raises(ValidationError) as info:
+            dataio.read_journals(tmp_path / "long.csv")
+        (issue,) = info.value.issues
+        assert (issue.code, issue.message) == (
+            "MalformedCsv",
+            f"{tmp_path / 'long.csv'}, line 2: field larger than field limit (131072)",
+        )
+
+
 class TestMatrixHeaderContract:
     def test_corner_cell_literal(self, tmp_path, two_field):
         journals, matrix = two_field
