@@ -224,7 +224,11 @@ def _cmd_sensitivity(args) -> int:
     if args.sweep:
         reports = properties.leave_one_out_sweep(journals, matrix, args.indicator, **params)
         results = [(journals.ids[r.dropped], r.max_relative_change) for r in reports]
-        results.sort(key=lambda item: (-item[1], item[0]))
+        # Changes within analysis.TIE_TOLERANCE share a rank and go by id, so
+        # solver noise cannot order journals that tie in exact arithmetic.
+        ranks = analysis.average_ranks([change for _, change in results])
+        order = sorted(range(len(results)), key=lambda k: (-ranks[k], results[k][0]))
+        results = [results[k] for k in order]
         payload = {
             "sweep": [
                 {"dropped": ident, "max_relative_change": _round(change, args.precision)}

@@ -8,7 +8,11 @@ builds S densely, for the direct path.
 Two independent paths solve the same fixed-point problems: dense direct
 elimination (oracle-grade on small instances) and power iteration (scales
 to larger ones). Tests cross-check them against each other, so keep the
-implementations independent. An alpha = 1 solve checks irreducibility with
+implementations independent. The power path extrapolates: when its last two
+steps show one real error mode, such as the slow field split of a nearly
+decomposable matrix, it jumps to that mode's limit (vector Aitken
+extrapolation) and measures the contraction afresh before it may stop. An
+alpha = 1 solve checks irreducibility with
 ``core.require_irreducible``; the strongly connected components are
 computed only to describe a failure. Solved vectors are not cached: every
 call solves.
@@ -32,16 +36,30 @@ METHODS = ("auto", "direct", "power")
 # density, and extracting the non-zeros costs 17-26 dense steps. That
 # extraction, paid once per matrix, is repaid after 40-55 steps at 5 %
 # density but only after 60-95 at 7 %, so the lower cut keeps the sparse
-# path ahead even on a matrix solved only once (alpha = 0.85 to 1 takes
-# 70-270 steps at n = 1500, 1 %).
+# path ahead on a matrix solved at several dampings. Since the power path
+# extrapolates, alpha = 0.85 to 1 takes about 22-73 steps at n = 1500, 1 %,
+# so one lone solve near the cut may not repay the extraction; the cut has
+# not been measured again with these step counts.
 SPARSE_DENSITY = 0.05
 
 # Power iteration stops once the extrapolated error (step size times
 # rho/(1-rho) for contraction estimate rho) drops below the tolerance, not
 # merely the step size itself: on slowly mixing chains the raw step
-# understates the remaining error by 1/(1-rho).
+# understates the remaining error by 1/(1-rho). rho is the ratio of the last
+# two step sizes, floored by the largest rate jumped over (below), and a step
+# whose rate was not measured since the last jump never stops.
 _PLATEAU_RATIO = 0.9999
 _PLATEAU_PATIENCE = 50
+# Vector Aitken extrapolation (Kamvar, Haveliwala, Manning & Golub, WWW 2003):
+# while the step size is above the tolerance, the rate lam = <d, d'> / <d', d'>
+# of the last two step differences d', d is fitted; when d - lam d' is within
+# _JUMP_FIT of d in L1 (one real mode dominates) and 0 < lam < _JUMP_MAX_RATE,
+# the iterate jumps to x + d lam / (1 - lam), the mode's limit, and the fit
+# starts afresh. A periodic chain's modes are complex and never fit; a looser
+# fit (1e-1) accepted a lam near 1 on 40- and 90-journal cycles, whose
+# solves then never converged.
+_JUMP_FIT = 1e-2
+_JUMP_MAX_RATE = 1.0 - 1e-6
 
 
 @dataclass(frozen=True)
@@ -139,6 +157,8 @@ def _power(matrix: core.CitationMatrix, alpha: float, teleport: np.ndarray, conf
     prev_delta = np.inf
     plateau = 0
     delta = np.inf
+    prev_diff = None  # the last step's difference, None right after a jump
+    jumped = 0.0  # largest mode rate extrapolated away so far
     for iteration in range(1, config.max_iterations + 1):
         if lazy:
             # Half-lazy step: same fixed point, converges for periodic chains.
@@ -146,12 +166,29 @@ def _power(matrix: core.CitationMatrix, alpha: float, teleport: np.ndarray, conf
         else:
             x_next = alpha * step(x) + (1.0 - alpha) * teleport
         x_next /= x_next.sum()
-        delta = float(np.abs(x_next - x).sum())
+        diff = x_next - x
+        delta = float(np.abs(diff).sum())
         x = x_next
         if delta == 0.0:
             return x, SolverReport(iteration, delta, "power")
+        if delta > tol and prev_diff is not None:
+            lam = float(diff @ prev_diff) / float(prev_diff @ prev_diff)
+            if 0.0 < lam < _JUMP_MAX_RATE and np.abs(diff - lam * prev_diff).sum() <= _JUMP_FIT * delta:
+                # One real mode of rate lam dominates the error: its tail
+                # sums to diff * lam / (1 - lam). The limit is non-negative,
+                # so clipping at zero only brings an entry closer to it.
+                x = np.maximum(x + diff * (lam / (1.0 - lam)), 0.0)
+                x /= x.sum()
+                jumped = max(jumped, lam)
+                prev_diff, prev_delta, plateau = None, np.inf, 0
+                continue
+        prev_diff = diff
         if delta <= tol:
-            rho = delta / prev_delta if np.isfinite(prev_delta) and prev_delta > 0 else 0.0
+            if np.isfinite(prev_delta):
+                rho = max(delta / prev_delta, jumped)
+            else:
+                # First step: no rate to measure. After a jump: not yet measured.
+                rho = 1.0 if jumped else 0.0
             if rho < 1.0 and delta * rho / (1.0 - rho) <= tol:
                 return x, SolverReport(iteration, delta, "power")
             if delta >= prev_delta * _PLATEAU_RATIO:

@@ -5,10 +5,10 @@
 then the exact stdout. Every command writing CSV is covered, at the default
 precision and at ``--precision 12``.
 
-The sweep is pinned for af only. Mirror journals tie in exact arithmetic,
-and the sweep ranks ties by id; af's closed form keeps them bitwise equal,
-while the ipp solve leaves them some 1e-14 apart, so the ipp sweep's row
-order would follow the platform's floating-point noise.
+Mirror journals tie in exact arithmetic. af's closed form keeps their
+changes bitwise equal, while the ipp solve leaves them some 1e-14 apart; the
+sweep ranks changes within ``analysis.TIE_TOLERANCE`` as ties and orders
+them by id, so both sweeps are pinned.
 """
 
 from pathlib import Path
@@ -30,6 +30,7 @@ _COMMANDS = [
     "sensitivity --indicator ipp --drop J8",
     "sensitivity --indicator af --drop J8",
     "sensitivity --indicator af --sweep",
+    "sensitivity --indicator ipp --sweep",
     "field-check --indicator af",
     "field-check --indicator ipp",
 ]

@@ -348,3 +348,125 @@ class TestIwEigensystem:
             direct = direct / direct.sum()
             power = power / power.sum()
             assert np.abs(direct - power).max() < 1e-10, name
+
+
+def _power_against_direct(matrix, alpha, teleport, expected=None, **config):
+    """Forced power solve, its L1 gap to direct elimination, and the report."""
+    power, report = stationary(matrix, alpha, teleport, SolverConfig(method="power", **config))
+    assert report.method_used == "power"
+    assert np.all(power >= 0.0) and abs(power.sum() - 1.0) <= 1e-12
+    if expected is None:
+        expected, _ = stationary(matrix, alpha, teleport, SolverConfig(method="direct"))
+    return power, float(np.abs(power - expected).sum()), report
+
+
+def _without_jumps(monkeypatch, matrix, alpha, teleport):
+    """The power solve with the extrapolation disabled: the plain iteration."""
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_JUMP_MAX_RATE", 0.0)
+        return stationary(matrix, alpha, teleport, SolverConfig(method="power"))
+
+
+WEAK_CROSS = (2e-4, 5e-5)
+# L1 gaps to direct elimination left by the power path before it extrapolated
+# (seed 1, 750 journals per field, within_mean 0.02), where they exceed 1e-12;
+# the bound for these cases is that gap rounded up, every other case's 1e-12.
+GAPS_BEFORE_EXTRAPOLATION = {
+    (2e-4, 1.0, "uniform"): 1.1e-12,
+    (2e-4, 1.0, "articles"): 1.1e-12,
+    (5e-5, 0.99, "uniform"): 1.1e-12,
+    (5e-5, 0.99, "articles"): 1.1e-12,
+    (5e-5, 1.0, "uniform"): 2.4e-12,
+    (5e-5, 1.0, "articles"): 2.7e-12,
+}
+
+
+@pytest.fixture(scope="module")
+def weakly_coupled():
+    """Two 750-journal fields that cite each other 100 and 400 times more
+    rarely than themselves: one slow mode, the field split."""
+    instances = {}
+    for cross in WEAK_CROSS:
+        journals, matrix, _ = make_block(seed=1, m=750, within=0.02, cross=cross)
+        teleports = {
+            "uniform": np.full(matrix.n, 1.0 / matrix.n),
+            "articles": journals.articles_t1 / journals.articles_t1.sum(),
+        }
+        instances[cross] = (matrix, teleports, {})
+    return instances
+
+
+class TestExtrapolation:
+    """The power path's Aitken jump over a dominant real error mode: it must
+    leave the forced power solve within 1e-12 L1 of direct elimination, or no
+    further than before the jump existed, and never fire on complex or
+    negative modes."""
+
+    @pytest.mark.parametrize("teleport", ("uniform", "articles"))
+    @pytest.mark.parametrize("alpha", (0.85, 0.99, 1.0))
+    @pytest.mark.parametrize("cross", WEAK_CROSS)
+    def test_weakly_coupled_fields_match_direct(self, weakly_coupled, cross, alpha, teleport):
+        matrix, teleports, direct = weakly_coupled[cross]
+        key = alpha if alpha == 1.0 else (alpha, teleport)  # alpha = 1 ignores the teleport
+        if key not in direct:
+            direct[key], _ = stationary(matrix, alpha, teleports[teleport], SolverConfig(method="direct"))
+        _, gap, _ = _power_against_direct(matrix, alpha, teleports[teleport], direct[key])
+        assert gap <= GAPS_BEFORE_EXTRAPOLATION.get((cross, alpha, teleport), 1e-12)
+
+    # At the default tolerance the plain iteration stopped 6.5e-12 away; at
+    # 1e-15 both reach the rounding floor of this 2 x 2 chain.
+    @pytest.mark.parametrize("tolerance, bound", ((1e-12, 6.5e-12), (1e-15, 1e-12)))
+    def test_near_decomposable_matches_direct(self, near_decomposable, tolerance, bound):
+        _, matrix, _ = near_decomposable
+        for teleport in (np.array([0.5, 0.5]), np.array([0.9, 0.1])):
+            _, gap, _ = _power_against_direct(matrix, 1.0, teleport, tolerance=tolerance)
+            assert gap <= bound, teleport
+
+    @pytest.mark.parametrize("alpha", (0.85, 1.0))
+    def test_periodic_cycle_takes_no_jump(self, monkeypatch, alpha):
+        # Every mode of a cycle but the fixed point is complex. A fit looser
+        # than _JUMP_FIT took a rate near 1 for one on this 40-cycle, and the
+        # solve then never converged.
+        matrix = jr.CitationMatrix(np.roll(np.eye(40), 1, axis=1))
+        teleport = np.random.default_rng(40).dirichlet(np.ones(40))
+        power, gap, report = _power_against_direct(matrix, alpha, teleport)
+        assert gap <= 1e-12
+        plain, plain_report = _without_jumps(monkeypatch, matrix, alpha, teleport)
+        np.testing.assert_array_equal(power, plain)
+        assert report == plain_report
+
+    def test_nearly_bipartite_chain_is_unchanged(self, monkeypatch):
+        # Each field cites almost only the other one, so lambda_2 is close to
+        # -1: a damped step's slow mode is negative and never fits.
+        rng = np.random.default_rng(7)
+        m = 40
+        counts = rng.poisson(0.02, (2 * m, 2 * m)).astype(float)
+        counts[:m, m:] = rng.poisson(2.0, (m, m))
+        counts[m:, :m] = rng.poisson(2.0, (m, m))
+        matrix = jr.CitationMatrix(counts)
+        eigenvalues = np.linalg.eigvals(reference_shares(matrix))
+        second = eigenvalues[np.argsort(-np.abs(eigenvalues))[1]]
+        assert abs(second.imag) < 1e-9 and second.real < -0.9
+        uniform = np.full(2 * m, 1.0 / (2 * m))
+        for alpha in (0.85, 0.99, 1.0):
+            power, gap, report = _power_against_direct(matrix, alpha, uniform)
+            assert gap <= 1e-12, alpha
+            if alpha < 1.0:
+                plain, plain_report = _without_jumps(monkeypatch, matrix, alpha, uniform)
+                np.testing.assert_array_equal(power, plain, err_msg=str(alpha))
+                assert report == plain_report, alpha
+
+    def test_full_damping_step_count_on_the_benchmark_instance(self):
+        # damping_sweep's instance: lambda_2 = 0.82, so a lazy step contracts
+        # the field split by 0.91 and the plain iteration took 267 steps.
+        spec = jr.BlockModelSpec(750, within_mean=0.02, cross_mean=0.002, seed=1)
+        journals, matrix, _ = jr.block_model(spec)
+        for teleport in (np.full(matrix.n, 1.0 / matrix.n), journals.articles_t1 / journals.articles_t1.sum()):
+            _, report = stationary(matrix, 1.0, teleport)
+            assert report.method_used == "power" and report.iterations <= 100
+
+    def test_no_convergence_is_still_raised(self, weakly_coupled):
+        matrix, teleports, _ = weakly_coupled[5e-5]
+        with pytest.raises(NoConvergence) as err:
+            stationary(matrix, 1.0, teleports["uniform"], SolverConfig(method="power", max_iterations=200))
+        assert err.value.iterations == 200
