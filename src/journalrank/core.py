@@ -73,16 +73,21 @@ class CitationMatrix:
     """Square grid of citing -> cited counts, immutable, with the storage
     facts every solve needs derived once.
 
-    Entries are stored as float64, which keeps integral inputs exact. The
-    counts are read-only, so what depends on them alone is computed once per
-    matrix: the row sums at construction, and on first use the non-zero
-    count, the raw (row, col, count) non-zeros, the first negative cell and
-    the irreducibility verdict; how the shares act is ``spectral``'s. Each
-    fact is computed in full before it is stored, so concurrent first use is
-    safe (at worst two threads derive the same value). Construction only
-    enforces squareness; content checks (finite, non-negative, dimensions
-    matching a JournalSet) live in ``validate`` so that a single call can
-    report every violation at once. ``np.asarray(matrix)`` gives the counts.
+    Entries are stored as float64, which keeps integral inputs exact; the
+    constructor copies the array it is given. The counts are read-only, so
+    what depends on them alone is computed once per matrix: the row sums at
+    construction, and on first use the non-zero count, the raw (row, col,
+    count) non-zeros, the first negative cell and the irreducibility
+    verdict; how the shares act is ``spectral``'s. A matrix made by
+    ``drop_journal`` starts with the non-zero count and the absence of
+    negative cells when its parent already held them, each equal to what a
+    scan of its own counts would give; it derives the rest itself.
+    Each fact is computed in full before it is stored, so concurrent first
+    use is safe (at worst two threads derive the same value). Construction
+    only enforces squareness; content checks (finite, non-negative,
+    dimensions matching a JournalSet) live in ``validate`` so that a single
+    call can report every violation at once. ``np.asarray(matrix)`` gives
+    the counts.
     """
 
     counts: np.ndarray
@@ -92,6 +97,30 @@ class CitationMatrix:
         arr = np.array(self.counts, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"citation matrix must be square, got shape {arr.shape}")
+        self._own(arr)
+
+    @classmethod
+    def _adopt(
+        cls, counts: np.ndarray, *, nonzero_count: int | None = None, no_negative_cell: bool = False
+    ) -> CitationMatrix:
+        """Wrap a square float64 array that nothing else references, without
+        copying it, and pre-seed the cached facts that are known.
+
+        ``nonzero_count`` (when given) and ``no_negative_cell=True`` must
+        equal what a scan of ``counts`` would give. For arrays the package
+        has just made: ``drop_journal``'s reduced counts and
+        ``synth.block_model``'s draws.
+        """
+        matrix = cls.__new__(cls)
+        matrix._own(counts)
+        # A cached_property reads its value from the instance dict.
+        if nonzero_count is not None:
+            matrix.__dict__["nonzero_count"] = nonzero_count
+        if no_negative_cell:
+            matrix.__dict__["negative_cell"] = None
+        return matrix
+
+    def _own(self, arr: np.ndarray) -> None:
         arr.flags.writeable = False
         object.__setattr__(self, "counts", arr)
         sums = arr.sum(axis=1)
@@ -329,13 +358,44 @@ def drop_journal(
 ) -> tuple[JournalSet, CitationMatrix]:
     """Remove one journal: delete its row and column, recompute row sums.
 
-    The original instance is untouched; a fresh pair is returned.
+    The original instance is untouched; a fresh pair is returned. The reduced
+    counts are copied once, around row and column ``index``, and the reduced
+    matrix starts with the facts the parent already holds, adjusted for the
+    drop: the non-zero count, and a negative cell known to be absent. Every
+    other fact, and one the parent has not derived, is left to the reduced
+    matrix's own first use; so irreducibility is always derived afresh,
+    since a drop can disconnect the citation graph. The result equals
+    ``CitationMatrix`` of the counts without that row and column.
+
+    Raises TypeError unless ``index`` is an integer (bool is not one), and
+    IndexOutOfRange unless it names a journal.
     """
+    if isinstance(index, (bool, np.bool_)):
+        # numpy 1.x names np.bool_ "bool_", numpy 2 "bool".
+        raise TypeError(f"journal index must be an integer, got bool {quote(str(index))}")
+    if not isinstance(index, (int, np.integer)):
+        raise TypeError(f"journal index must be an integer, got {type(index).__name__} {quote(str(index))}")
     n = journals.n
     if not 0 <= index < n:
         raise IndexOutOfRange(index, n)
     if n < 2:
         raise ValueError("cannot drop the only journal")
-    kept = tuple(j for k, j in enumerate(journals.journals) if k != index)
-    reduced = np.delete(np.delete(matrix.counts, index, axis=0), index, axis=1)
-    return JournalSet(kept), CitationMatrix(reduced)
+    k = int(index)
+    counts = matrix.counts
+    # The layout of the counts decides how numpy sums the rows, so the copy
+    # keeps it (np.delete does the same).
+    reduced = np.empty((n - 1, n - 1), order="F" if counts.flags.fnc else "C")
+    reduced[:k, :k] = counts[:k, :k]
+    reduced[:k, k:] = counts[:k, k + 1 :]
+    reduced[k:, :k] = counts[k + 1 :, :k]
+    reduced[k:, k:] = counts[k + 1 :, k + 1 :]
+    # A cached_property fact is in the instance dict once it has been derived.
+    held = matrix.__dict__
+    nonzero_count = None
+    if "nonzero_count" in held:
+        lost = np.count_nonzero(counts[k]) + np.count_nonzero(counts[:, k]) - (counts[k, k] != 0)
+        nonzero_count = held["nonzero_count"] - int(lost)
+    no_negative_cell = "negative_cell" in held and held["negative_cell"] is None
+    kept = journals.journals[:k] + journals.journals[k + 1 :]
+    reduced_matrix = CitationMatrix._adopt(reduced, nonzero_count=nonzero_count, no_negative_cell=no_negative_cell)
+    return JournalSet(kept), reduced_matrix

@@ -198,9 +198,13 @@ def leave_one_out(
 
     ``params`` are passed to ``indicators.compute`` for both instances: the
     kind's parameters (as listed in ``indicators.KINDS``) and ``solver``.
-    Every derived quantity (row sums, referencing rates, stationary vector)
-    is recomputed on the reduced instance. Needs at least three journals
-    after the drop so that recursive indicators stay meaningful.
+    The reduced instance comes from ``core.drop_journal``: its row sums,
+    referencing rates and stationary vector are computed afresh, and so is
+    its irreducibility; the storage facts the full matrix already holds
+    (non-zero count, absence of negative cells) are handed down adjusted
+    for the drop, equal to what a scan would give. Needs at
+    least three journals after the drop so that recursive indicators stay
+    meaningful.
     """
     full = _full_values(journals, matrix, kind, params)
     return _drop_report(journals, matrix, dropped, kind, full, params)

@@ -122,7 +122,9 @@ def block_model(spec: BlockModelSpec) -> tuple[JournalSet, CitationMatrix, Field
             counts[0, m] = max(counts[0, m], 1.0)
             counts[m, 0] = max(counts[m, 0], 1.0)
 
-        matrix = CitationMatrix(counts)
+        # counts is a fresh float64 array that nothing else holds, so the
+        # matrix takes it over instead of copying it.
+        matrix = CitationMatrix._adopt(counts)
         if np.any(matrix.row_sums == 0):
             continue
         if not matrix.irreducible:

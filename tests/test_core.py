@@ -219,6 +219,20 @@ class TestDropJournal:
         with pytest.raises(IndexOutOfRange):
             jr.drop_journal(journals, matrix, 8)
 
+    @pytest.mark.parametrize(
+        "index, shown", [(1.5, "float '1.5'"), (True, "bool 'True'"), (np.True_, "bool 'True'"), ("3", "str '3'")]
+    )
+    def test_non_integer_index_rejected(self, two_field, index, shown):
+        journals, matrix = two_field
+        with pytest.raises(TypeError, match=f"^journal index must be an integer, got {shown}$"):
+            jr.drop_journal(journals, matrix, index)
+
+    def test_numpy_integer_index_accepted(self, two_field):
+        journals, matrix = two_field
+        reduced_journals, reduced_matrix = jr.drop_journal(journals, matrix, np.int64(2))
+        assert reduced_journals.ids == ("J1", "J2", "J4", "J5", "J6", "J7", "J8")
+        np.testing.assert_array_equal(reduced_matrix.counts, np.delete(np.delete(matrix.counts, 2, 0), 2, 1))
+
     def test_structure_after_drop_matches_is_irreducible(self, two_field):
         journals, matrix = two_field
         for index in range(journals.n):

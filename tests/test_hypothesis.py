@@ -163,3 +163,95 @@ def test_csv_files_round_trip_byte_for_byte(data):
         dataio.write_matrix(matrix_csv, read_journals, dataio.read_matrix(matrix_csv, read_journals))
         dataio.write_journals(journals_csv, read_journals)
         assert (journals_csv.read_bytes(), matrix_csv.read_bytes()) == written
+
+
+@st.composite
+def awkward_counts(draw):
+    """A 2-9 journal count matrix that may hold NaN cells, negative cells
+    and zero rows, in C or Fortran layout."""
+    n = draw(st.integers(2, 9))
+    values = [0.0, 1.0, 2.0, 0.5, 1000.0]
+    if draw(st.booleans()):
+        values.append(-1.0)
+    if draw(st.booleans()):
+        values.append(math.nan)
+    counts = np.array(draw(st.lists(st.sampled_from(values), min_size=n * n, max_size=n * n))).reshape(n, n)
+    for row in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        counts[row] = 0.0
+    return np.asfortranarray(counts) if draw(st.booleans()) else counts
+
+
+FACTS = ("nonzero_count", "nonzeros", "negative_cell", "irreducible")
+
+
+def assert_same_matrix(actual, expected):
+    arrays = [("counts", actual.counts, expected.counts), ("row_sums", actual.row_sums, expected.row_sums)]
+    arrays += [(f"nonzeros[{i}]", a, e) for i, (a, e) in enumerate(zip(actual.nonzeros, expected.nonzeros))]
+    for name, a, e in arrays:
+        assert a.dtype == e.dtype and a.shape == e.shape, name
+        assert a.tobytes() == e.tobytes(), name
+        assert (a.flags.c_contiguous, a.flags.f_contiguous) == (e.flags.c_contiguous, e.flags.f_contiguous), name
+        assert not a.flags.writeable and not e.flags.writeable, name
+    for name in ("nonzero_count", "negative_cell", "irreducible"):
+        a, e = getattr(actual, name), getattr(expected, name)
+        assert type(a) is type(e) and a == e, name
+
+
+@PROPERTY
+@given(awkward_counts())
+def test_drop_equals_a_fresh_matrix_of_the_deleted_counts(counts):
+    n = counts.shape[0]
+    journals = jr.JournalSet(tuple(jr.Journal(f"J{k}", None, k, k) for k in range(n)))
+    original = counts.tobytes()
+    for k in range(n):
+        expected = jr.CitationMatrix(np.delete(np.delete(counts, k, 0), k, 1))
+        for derived in (False, True):
+            parent = jr.CitationMatrix(counts)
+            if derived:
+                for name in FACTS:
+                    getattr(parent, name)
+            held = set(parent.__dict__)
+            reduced_journals, reduced = jr.drop_journal(journals, parent, k)
+            # A drop reads only the facts the parent holds; it derives none on it.
+            assert set(parent.__dict__) == held
+            assert reduced_journals == jr.JournalSet(journals.journals[:k] + journals.journals[k + 1 :])
+            assert_same_matrix(reduced, expected)
+            assert parent.counts.tobytes() == original and not parent.counts.flags.writeable
+            assert_same_matrix(parent, jr.CitationMatrix(counts))
+
+
+@st.composite
+def balanced_fields(draw):
+    """A two-field (journals, matrix, partition) instance meeting the
+    preconditions of the audience factor's field-mean bound: both fields
+    publish the same number of earlier-period articles, later-period
+    counts are eta times the earlier ones, and every journal cites."""
+    field1 = draw(st.lists(st.integers(1, 500), min_size=1, max_size=6))
+    field2 = draw(st.lists(st.integers(1, 500), min_size=1, max_size=6))
+    gap = sum(field1) - sum(field2)
+    if gap > 0:
+        field2.append(gap)
+    elif gap < 0:
+        field1.append(-gap)
+    a1 = field1 + field2
+    n = len(a1)
+    order = draw(st.permutations(range(n)))
+    labels = [1] * len(field1) + [2] * len(field2)
+    eta = draw(st.integers(1, 4))
+    journals = jr.JournalSet(tuple(jr.Journal(f"J{k}", None, a1[i], eta * a1[i]) for k, i in enumerate(order)))
+    partition = jr.FieldPartition(tuple(labels[i] for i in order))
+    same_field = np.equal.outer(partition.field_of, partition.field_of)
+    within = np.array(draw(st.lists(st.integers(0, 1000), min_size=n * n, max_size=n * n)), dtype=float)
+    cross = np.array(draw(st.lists(st.integers(0, 50), min_size=n * n, max_size=n * n)), dtype=float)
+    counts = np.where(same_field, within.reshape(n, n), cross.reshape(n, n))
+    counts[np.diag_indices(n)] += 1.0
+    return journals, jr.CitationMatrix(counts), partition
+
+
+@PROPERTY
+@given(balanced_fields())
+def test_audience_factor_field_means_stay_within_one_plus_minus_delta(instance):
+    journals, matrix, partition = instance
+    report = jr.field_insensitivity_check(journals, matrix, partition, jr.audience_factor(journals, matrix))
+    assert report.balanced and report.eta is not None
+    assert report.bounds_hold == (True, True), report

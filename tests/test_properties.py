@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import journalrank as jr
-from journalrank import properties
+from journalrank import core, properties, spectral
 from journalrank.core import CitationMatrix, Journal, JournalSet
 from journalrank.errors import NotIrreducible, PreconditionViolated, ZeroOutgoing
 from journalrank.spectral import SolverConfig
@@ -146,6 +146,35 @@ class TestFieldInsensitivityCheck:
             jr.af_endpoint_check(journals, matrix)
 
 
+def sparse_ring(seed, n):
+    """An n-journal instance below SPARSE_DENSITY in which journal i cites
+    i + 1 and i + 2 (mod n), plus a few extra cells: every drop leaves each
+    survivor citing and the pattern strongly connected."""
+    rng = np.random.default_rng(seed)
+    counts = np.zeros((n, n))
+    rows = np.arange(n)
+    for step in (1, 2):
+        counts[rows, (rows + step) % n] = rng.integers(1, 50, size=n)
+    counts[rng.integers(0, n, size=n), rng.integers(0, n, size=n)] += rng.integers(1, 50, size=n)
+    a1 = rng.integers(20, 200, size=n)
+    journals = JournalSet(tuple(Journal(f"J{k:02d}", None, int(a1[k]), int(a1[k])) for k in range(n)))
+    return journals, CitationMatrix(counts)
+
+
+def fresh_drop(journals, matrix, index):
+    """drop_journal as a fresh CitationMatrix of the deleted counts."""
+    kept = tuple(j for k, j in enumerate(journals.journals) if k != index)
+    return JournalSet(kept), CitationMatrix(np.delete(np.delete(matrix.counts, index, 0), index, 1))
+
+
+def assert_same_report(report, expected):
+    assert report.dropped == expected.dropped
+    for name in ("before", "after", "relative_change"):
+        assert getattr(report, name).tobytes() == getattr(expected, name).tobytes(), name
+    assert report.max_relative_change == expected.max_relative_change
+    assert report.zero_before == expected.zero_before
+
+
 class TestLeaveOneOut:
     def test_recursive_influence_is_stable_without_the_minor_journal(self, two_field):
         journals, matrix = two_field
@@ -227,11 +256,25 @@ class TestLeaveOneOut:
         reports = properties.leave_one_out_sweep(journals, matrix, kind, **params)
         assert [r.dropped for r in reports] == list(range(journals.n))
         for report in reports:
-            single = jr.leave_one_out(journals, matrix, report.dropped, kind, **params)
-            for name in ("before", "after", "relative_change"):
-                assert getattr(report, name).tobytes() == getattr(single, name).tobytes()
-            assert report.max_relative_change == single.max_relative_change
-            assert report.zero_before == single.zero_before
+            assert_same_report(report, jr.leave_one_out(journals, matrix, report.dropped, kind, **params))
+
+    @pytest.mark.parametrize("kind, params", [("ipp", {}), ("ai", {"alpha": 0.85}), ("af", {})])
+    def test_sparse_drops_equal_freshly_built_reduced_matrices(self, kind, params, monkeypatch):
+        # The parent already holds its non-zeros and every reduced matrix
+        # solves on the sparse path; the reports must not differ from those
+        # on matrices built from the deleted counts.
+        journals, matrix = sparse_ring(seed=7, n=70)
+        assert matrix.nonzero_count < spectral.SPARSE_DENSITY * matrix.n**2
+        matrix.nonzeros
+        reports = properties.leave_one_out_sweep(journals, matrix, kind, **params)
+        drops = (*range(0, journals.n, 6), journals.n - 1)
+        singles = [jr.leave_one_out(journals, matrix, k, kind, **params) for k in drops]
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "drop_journal", fresh_drop)
+            fresh = [jr.leave_one_out(journals, matrix, k, kind, **params) for k in drops]
+        for k, single, expected in zip(drops, singles, fresh):
+            assert_same_report(reports[k], expected)
+            assert_same_report(single, expected)
 
     def test_sweep_needs_four_journals(self, near_decomposable):
         journals, matrix, _ = near_decomposable
