@@ -190,7 +190,9 @@ def _parse_indicator_token(token: str):
         numbers = [float(f) for f in fields]
     except ValueError:
         raise ValueError(f"bad indicator token {token!r}") from None
-    names = tuple(indicators.KINDS[name].params) if name in indicators.KINDS else ()
+    if name not in indicators.KINDS:
+        raise ValueError(f"unknown indicator kind {name!r}")
+    names = tuple(indicators.KINDS[name].params)
     if numbers and len(numbers) != len(names):
         raise ValueError(f"bad parameters in indicator token {token!r}")
     return name, dict(zip(names, numbers))

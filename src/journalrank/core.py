@@ -73,28 +73,25 @@ class CitationMatrix:
     """Square grid of citing -> cited counts, immutable, with the storage
     facts every solve needs derived once.
 
-    Entries are stored as float64, which keeps integral inputs exact; the
-    constructor copies the array it is given. The counts are read-only, so
-    what depends on them alone is computed once per matrix: the row sums at
-    construction, and on first use the non-zero count, the raw (row, col,
-    count) non-zeros, the first negative cell and the irreducibility
-    verdict; how the shares act is ``spectral``'s. A matrix made by
-    ``drop_journal`` starts with the non-zero count and the absence of
-    negative cells when its parent already held them, each equal to what a
-    scan of its own counts would give; it derives the rest itself.
-    Each fact is computed in full before it is stored, so concurrent first
-    use is safe (at worst two threads derive the same value). Construction
-    only enforces squareness; content checks (finite, non-negative,
-    dimensions matching a JournalSet) live in ``validate`` so that a single
-    call can report every violation at once. ``np.asarray(matrix)`` gives
-    the counts.
+    The constructor copies its input into one C-ordered float64 array, so
+    integral counts stay exact and no derived value depends on the caller's
+    memory layout. The counts are read-only, so what depends on them alone
+    is computed once: the row sums, the non-zero count and the first
+    negative cell (row-major, or None) on construction; the raw non-zeros
+    and the irreducibility verdict, which only the sparse product and
+    alpha = 1 need, in full on first use, so concurrent first use is safe.
+    Construction only enforces squareness; content checks live in
+    ``validate`` so that one call reports every violation. How the shares
+    act is ``spectral``'s. ``np.asarray(matrix)`` gives the counts.
     """
 
     counts: np.ndarray
     row_sums: np.ndarray = field(init=False, repr=False, compare=False)
+    nonzero_count: int = field(init=False, repr=False, compare=False)
+    negative_cell: tuple[int, int] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.array(self.counts, dtype=float)
+        arr = np.array(self.counts, dtype=float, order="C")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"citation matrix must be square, got shape {arr.shape}")
         self._own(arr)
@@ -103,29 +100,26 @@ class CitationMatrix:
     def _adopt(
         cls, counts: np.ndarray, *, nonzero_count: int | None = None, no_negative_cell: bool = False
     ) -> CitationMatrix:
-        """Wrap a square float64 array that nothing else references, without
-        copying it, and pre-seed the cached facts that are known.
-
-        ``nonzero_count`` (when given) and ``no_negative_cell=True`` must
-        equal what a scan of ``counts`` would give. For arrays the package
-        has just made: ``drop_journal``'s reduced counts and
-        ``synth.block_model``'s draws.
+        """Wrap a square C-ordered float64 array that nothing else
+        references, without copying it: ``drop_journal``'s reduced counts
+        and ``synth.block_model``'s draws. ``nonzero_count`` (when given)
+        and ``no_negative_cell=True`` must equal what a scan of ``counts``
+        would give; the facts not given are scanned for.
         """
         matrix = cls.__new__(cls)
-        matrix._own(counts)
-        # A cached_property reads its value from the instance dict.
-        if nonzero_count is not None:
-            matrix.__dict__["nonzero_count"] = nonzero_count
-        if no_negative_cell:
-            matrix.__dict__["negative_cell"] = None
+        matrix._own(counts, nonzero_count, no_negative_cell)
         return matrix
 
-    def _own(self, arr: np.ndarray) -> None:
+    def _own(self, arr: np.ndarray, nonzero_count: int | None = None, no_negative_cell: bool = False) -> None:
         arr.flags.writeable = False
-        object.__setattr__(self, "counts", arr)
         sums = arr.sum(axis=1)
         sums.flags.writeable = False
+        if nonzero_count is None:
+            nonzero_count = int(np.count_nonzero(arr))
+        object.__setattr__(self, "counts", arr)
         object.__setattr__(self, "row_sums", sums)
+        object.__setattr__(self, "nonzero_count", nonzero_count)
+        object.__setattr__(self, "negative_cell", None if no_negative_cell else _negative_cell(arr))
 
     def __array__(self, dtype=None, copy=None):
         # numpy 1.x passes no copy argument and rejects copy=None itself.
@@ -138,25 +132,9 @@ class CitationMatrix:
         return self.counts.shape[0]
 
     @cached_property
-    def nonzero_count(self) -> int:
-        """Number of non-zero cells."""
-        return int(np.count_nonzero(self.counts))
-
-    @cached_property
     def nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only (rows, cols, counts) of the non-zero cells, row-major."""
         return _nonzeros(self.counts)
-
-    @cached_property
-    def negative_cell(self) -> tuple[int, int] | None:
-        """(row, col) of the first negative cell in row-major order, or None."""
-        # min() needs no n x n boolean temporary, which keeps the peak memory of
-        # many short-lived matrices flat. It is NaN when a cell is NaN; the scan
-        # decides then.
-        if self.counts.size == 0 or self.counts.min() >= 0:
-            return None
-        negative = np.flatnonzero(self.counts < 0)
-        return divmod(int(negative[0]), self.n) if negative.size else None
 
     @cached_property
     def irreducible(self) -> bool:
@@ -168,6 +146,16 @@ class CitationMatrix:
         of a full SCC pass.
         """
         return _pattern_irreducible(self.counts > 0)
+
+
+def _negative_cell(counts: np.ndarray) -> tuple[int, int] | None:
+    # min() needs no n x n boolean temporary, which keeps the peak memory of
+    # many short-lived matrices flat. It is NaN when a cell is NaN; the scan
+    # decides then.
+    if counts.size == 0 or counts.min() >= 0:
+        return None
+    negative = np.flatnonzero(counts < 0)
+    return divmod(int(negative[0]), counts.shape[0]) if negative.size else None
 
 
 def _nonzeros(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -359,13 +347,12 @@ def drop_journal(
     """Remove one journal: delete its row and column, recompute row sums.
 
     The original instance is untouched; a fresh pair is returned. The reduced
-    counts are copied once, around row and column ``index``, and the reduced
-    matrix starts with the facts the parent already holds, adjusted for the
-    drop: the non-zero count, and a negative cell known to be absent. Every
-    other fact, and one the parent has not derived, is left to the reduced
-    matrix's own first use; so irreducibility is always derived afresh,
-    since a drop can disconnect the citation graph. The result equals
-    ``CitationMatrix`` of the counts without that row and column.
+    counts are copied once, around row and column ``index``. The reduced
+    matrix is handed the parent's non-zero count less the cells of that row
+    and column, and the absence of negative cells when the parent has none;
+    it derives its non-zeros and irreducibility itself, since a drop can
+    disconnect the citation graph. The result equals ``CitationMatrix`` of
+    the counts without that row and column.
 
     Raises TypeError unless ``index`` is an integer (bool is not one), and
     IndexOutOfRange unless it names a journal.
@@ -382,20 +369,14 @@ def drop_journal(
         raise ValueError("cannot drop the only journal")
     k = int(index)
     counts = matrix.counts
-    # The layout of the counts decides how numpy sums the rows, so the copy
-    # keeps it (np.delete does the same).
-    reduced = np.empty((n - 1, n - 1), order="F" if counts.flags.fnc else "C")
+    reduced = np.empty((n - 1, n - 1))
     reduced[:k, :k] = counts[:k, :k]
     reduced[:k, k:] = counts[:k, k + 1 :]
     reduced[k:, :k] = counts[k + 1 :, :k]
     reduced[k:, k:] = counts[k + 1 :, k + 1 :]
-    # A cached_property fact is in the instance dict once it has been derived.
-    held = matrix.__dict__
-    nonzero_count = None
-    if "nonzero_count" in held:
-        lost = np.count_nonzero(counts[k]) + np.count_nonzero(counts[:, k]) - (counts[k, k] != 0)
-        nonzero_count = held["nonzero_count"] - int(lost)
-    no_negative_cell = "negative_cell" in held and held["negative_cell"] is None
+    lost = np.count_nonzero(counts[k]) + np.count_nonzero(counts[:, k]) - (counts[k, k] != 0)
     kept = journals.journals[:k] + journals.journals[k + 1 :]
-    reduced_matrix = CitationMatrix._adopt(reduced, nonzero_count=nonzero_count, no_negative_cell=no_negative_cell)
+    reduced_matrix = CitationMatrix._adopt(
+        reduced, nonzero_count=matrix.nonzero_count - int(lost), no_negative_cell=matrix.negative_cell is None
+    )
     return JournalSet(kept), reduced_matrix

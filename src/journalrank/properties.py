@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, indicators, spectral
-from .errors import PreconditionViolated, ZeroOutgoing
+from .errors import NotIrreducible, PreconditionViolated, ZeroOutgoing, _ZeroCount, quote
 
 _BOUND_SLACK = 1e-12
 _ETA_TOLERANCE = 1e-12
@@ -145,8 +145,10 @@ def field_insensitivity_check(
     Uses the tight delta from ``min_delta``. The bound predicates carry a
     small floating-point slack so exact-equality cases count as holding.
     """
+    indicators._same_size(journals, matrix)
     if indicator.n != journals.n:
         raise ValueError("indicator length must match the journal set")
+    indicators._nonzero(matrix.row_sums, journals, ZeroOutgoing)
     delta = min_delta(matrix, partition)
     a1 = journals.articles_t1
     values = indicator.values
@@ -198,11 +200,11 @@ def leave_one_out(
 
     ``params`` are passed to ``indicators.compute`` for both instances: the
     kind's parameters (as listed in ``indicators.KINDS``) and ``solver``.
-    The reduced instance comes from ``core.drop_journal``: its row sums,
-    referencing rates and stationary vector are computed afresh, and so is
-    its irreducibility; the storage facts the full matrix already holds
-    (non-zero count, absence of negative cells) are handed down adjusted
-    for the drop, equal to what a scan would give. Needs at
+    The reduced instance comes from ``core.drop_journal``, which adjusts the
+    parent's non-zero count and negative-cell fact for the drop; its row
+    sums, referencing rates, stationary vector and irreducibility are fresh.
+    An error the reduced instance raises keeps its type, gives journal
+    indices in the full instance and names the dropped journal. Needs at
     least three journals after the drop so that recursive indicators stay
     meaningful.
     """
@@ -241,7 +243,17 @@ def _drop_report(
     params: dict,
 ) -> LeaveOneOutReport:
     reduced_journals, reduced_matrix = core.drop_journal(journals, matrix, dropped)
-    after = indicators.compute(kind, reduced_journals, reduced_matrix, **params).values
+    try:
+        after = indicators.compute(kind, reduced_journals, reduced_matrix, **params).values
+    except (_ZeroCount, NotIrreducible) as err:
+        # The same error, naming journals by their indices in the full instance.
+        full = np.delete(np.arange(journals.n), dropped).tolist()
+        if isinstance(err, NotIrreducible):
+            mapped = NotIrreducible([[full[i] for i in c] for c in err.components])
+        else:
+            mapped = type(err)(full[err.index], err.journal_id)
+        mapped.args = (f"{mapped} once journal {quote(journals.journals[dropped].id)} (index {dropped}) is dropped",)
+        raise mapped from None
     before = np.delete(full_values, dropped)
     with np.errstate(divide="ignore", invalid="ignore"):
         relative = np.where(before > 0, np.abs(after - before) / before, np.nan)

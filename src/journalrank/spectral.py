@@ -221,8 +221,9 @@ def stationary(
         one. The row normalization is implicit: the power path iterates
         ``share_step``, so no share matrix is built (only the direct path
         forms S, for its own small solve). Every call runs every check, but
-        the scans behind them (non-zero count, non-zeros, negative cell,
-        irreducibility) run once per CitationMatrix.
+        the scans behind them run once per CitationMatrix: the non-zero
+        count and negative cell on its construction, the non-zeros and
+        irreducibility on first use.
     alpha : damping weight in [0, 1]. 0 returns the teleport vector exactly;
         1 solves the pure eigen-problem and requires an irreducible pattern.
     teleport : non-negative vector summing to 1.

@@ -463,6 +463,12 @@ class TestCorrelate:
                 "message": f"bad parameters in indicator token {bad!r}",
             }
 
+    def test_unknown_kind_is_named_with_or_without_parameters(self, capsys, dataset):
+        for tokens in ("nope,if", "nope:1,if", "Nope:1:2,if"):
+            code, out, err = run(capsys, "correlate", *base_args(dataset), "--indicators", tokens)
+            assert (code, out) == (1, "")
+            assert json.loads(err) == {"error": "ValueError", "message": "unknown indicator kind 'nope'"}
+
 
 class TestSensitivity:
     def test_drop_matches_reference_scenario(self, capsys, dataset):
@@ -580,6 +586,19 @@ class TestFieldCheck:
         assert csv_rows(out)[1][-2:] == ["true", ""]
         code, out, _ = run(capsys, "field-check", *files, "--indicator", "if", "--format", "json")
         assert json.loads(out)["eta"] is None
+
+    @pytest.mark.parametrize("kind", ["if", "af", "ipp"])
+    def test_dangling_journal_is_named_by_id(self, capsys, tmp_path, kind):
+        journals = jr.JournalSet(tuple(jr.Journal(i, None, 10, 10) for i in "ABCD"))
+        counts = np.arange(1.0, 17.0).reshape(4, 4)
+        counts[1] = 0.0
+        files = export(tmp_path, journals, jr.CitationMatrix(counts), jr.FieldPartition((1, 1, 2, 2)))
+        code, out, err = run(capsys, "field-check", *files, "--indicator", kind)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "ZeroOutgoing",
+            "message": "journal 'B' (index 1) has no outgoing citations",
+        }
 
 
 class TestDemo:

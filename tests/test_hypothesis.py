@@ -197,12 +197,23 @@ def assert_same_matrix(actual, expected):
         assert type(a) is type(e) and a == e, name
 
 
+LAYOUT_COUNTS = np.random.default_rng(0).random((200, 200))
+LAYOUT_JOURNALS = jr.JournalSet(tuple(jr.Journal(f"J{k}", None, 1 + k % 5, 1 + k % 5) for k in range(200)))
+
+
 @PROPERTY
 @given(awkward_counts())
 def test_drop_equals_a_fresh_matrix_of_the_deleted_counts(counts):
     n = counts.shape[0]
     journals = jr.JournalSet(tuple(jr.Journal(f"J{k}", None, k, k) for k in range(n)))
     original = counts.tobytes()
+    # The memory layout of the input changes no bit of the matrix or its scores.
+    assert_same_matrix(jr.CitationMatrix(counts), jr.CitationMatrix(np.ascontiguousarray(counts)))
+    c_scores, f_scores = (
+        jr.compute("ai", LAYOUT_JOURNALS, jr.CitationMatrix(layout), alpha=0.85).values
+        for layout in (LAYOUT_COUNTS, np.asfortranarray(LAYOUT_COUNTS))
+    )
+    assert c_scores.tobytes() == f_scores.tobytes()
     for k in range(n):
         expected = jr.CitationMatrix(np.delete(np.delete(counts, k, 0), k, 1))
         for derived in (False, True):

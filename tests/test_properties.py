@@ -98,6 +98,16 @@ class TestFieldInsensitivityCheck:
         assert report.field_means[0] == pytest.approx(report.overall_mean, rel=1e-12)
         assert report.field_means[1] == pytest.approx(report.overall_mean, rel=1e-12)
 
+    def test_size_mismatch_rejected(self):
+        journals = JournalSet(tuple(Journal(f"J{k}", None, 10, 10) for k in range(4)))
+        counts = np.arange(1.0, 26.0).reshape(5, 5)
+        indicator = jr.impact_factor(journals, CitationMatrix(counts[:4, :4]))
+        partition = jr.FieldPartition((1, 1, 2, 2, 2))
+        for row_sum in (1.0, 0.0):
+            counts[4] = row_sum
+            with pytest.raises(ValueError, match="^journal set has 4 journals but matrix is 5x5$"):
+                jr.field_insensitivity_check(journals, CitationMatrix(counts), partition, indicator)
+
     def test_recursive_influence_breaks_bounds_on_near_decomposable(self, near_decomposable):
         journals, matrix, partition = near_decomposable
         ipp = jr.influence_per_publication(journals, matrix)
@@ -280,6 +290,31 @@ class TestLeaveOneOut:
         journals, matrix, _ = near_decomposable
         with pytest.raises(ValueError):
             properties.leave_one_out_sweep(journals, matrix, "if")
+
+    def test_reduced_dangling_journal_is_named_by_its_full_index(self):
+        journals, matrix, _ = jr.block_model(jr.BlockModelSpec(30, 0.12, 0.01, seed=0))
+        with pytest.raises(ZeroOutgoing) as caught:
+            properties.leave_one_out_sweep(journals, matrix, "af")
+        err = caught.value
+        assert (err.index, err.journal_id) == (28, "J029") == (journals.index_of("J029"), "J029")
+        assert str(err) == "journal 'J029' (index 28) has no outgoing citations once journal 'J007' (index 6) is dropped"
+
+    def test_reduced_components_are_in_full_indices(self):
+        # A 5-cycle with self-citations: every drop cuts it into a path.
+        counts = np.eye(5) + np.roll(np.eye(5), 1, axis=1)
+        journals = JournalSet(tuple(Journal(f"J{k}", None, 3, 3) for k in range(5)))
+        for dropped in (0, 2):
+            with pytest.raises(NotIrreducible) as caught:
+                jr.leave_one_out(journals, CitationMatrix(counts), dropped, "ipp")
+            err = caught.value
+            assert sorted(i for c in err.components for i in c) == [k for k in range(5) if k != dropped]
+            assert str(err) == (
+                f"citation matrix is not irreducible (4 strongly connected components) "
+                f"once journal 'J{dropped}' (index {dropped}) is dropped"
+            )
+        with pytest.raises(NotIrreducible) as caught:
+            properties.leave_one_out_sweep(journals, CitationMatrix(counts), "ipp")
+        assert sorted(caught.value.components) == [[1], [2], [3], [4]]
 
 
 class TestEndpointChecks:
