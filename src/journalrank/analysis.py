@@ -72,7 +72,7 @@ def spearman(x, y) -> float:
     return pearson(average_ranks(x), average_ranks(y))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
     """Pairwise Pearson and Spearman grids with exact symmetry and unit diagonal."""
 

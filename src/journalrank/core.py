@@ -68,7 +68,7 @@ class JournalSet:
             raise KeyError(f"unknown journal id {quote(journal_id)}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CitationMatrix:
     """Square grid of citing -> cited counts, immutable, with the storage
     facts every solve needs derived once.
@@ -86,9 +86,9 @@ class CitationMatrix:
     """
 
     counts: np.ndarray
-    row_sums: np.ndarray = field(init=False, repr=False, compare=False)
-    nonzero_count: int = field(init=False, repr=False, compare=False)
-    negative_cell: tuple[int, int] | None = field(init=False, repr=False, compare=False)
+    row_sums: np.ndarray = field(init=False, repr=False)
+    nonzero_count: int = field(init=False, repr=False)
+    negative_cell: tuple[int, int] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = np.array(self.counts, dtype=float, order="C")

@@ -35,7 +35,7 @@ DEFAULT_BETA = 0.9
 DEFAULT_GAMMA = 0.0999
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndicatorVector:
     """One score per journal, tagged with the indicator kind and parameters.
 

@@ -78,7 +78,7 @@ class FieldInsensitivityReport:
     eta: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeaveOneOutReport:
     """Indicator values before/after removing one journal, aligned on survivors.
 

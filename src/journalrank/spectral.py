@@ -51,13 +51,12 @@ SPARSE_DENSITY = 0.05
 _PLATEAU_RATIO = 0.9999
 _PLATEAU_PATIENCE = 50
 # Vector Aitken extrapolation (Kamvar, Haveliwala, Manning & Golub, WWW 2003):
-# while the step size is above the tolerance, the rate lam = <d, d'> / <d', d'>
-# of the last two step differences d', d is fitted; when d - lam d' is within
-# _JUMP_FIT of d in L1 (one real mode dominates) and 0 < lam < _JUMP_MAX_RATE,
-# the iterate jumps to x + d lam / (1 - lam), the mode's limit, and the fit
-# starts afresh. A periodic chain's modes are complex and never fit; a looser
-# fit (1e-1) accepted a lam near 1 on 40- and 90-journal cycles, whose
-# solves then never converged.
+# at every step size, lam = <d, d'> / <d', d'> is fitted to the last two step
+# differences d', d; when d - lam d' is within _JUMP_FIT of d in L1 (one real
+# mode dominates) and 0 < lam < _JUMP_MAX_RATE, the iterate jumps to the
+# mode's limit x + d lam / (1 - lam) and the fit starts afresh. A periodic
+# chain's modes are complex and never fit; a looser fit (1e-1) accepted a lam
+# near 1 on 40- and 90-journal cycles, whose solves then never converged.
 _JUMP_FIT = 1e-2
 _JUMP_MAX_RATE = 1.0 - 1e-6
 
@@ -77,10 +76,11 @@ class SolverConfig:
     method: str = "auto"
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValueError("tolerance must be positive and finite")
+        count = self.max_iterations
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValueError("max_iterations must be an integer of at least 1")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -171,7 +171,7 @@ def _power(matrix: core.CitationMatrix, alpha: float, teleport: np.ndarray, conf
         x = x_next
         if delta == 0.0:
             return x, SolverReport(iteration, delta, "power")
-        if delta > tol and prev_diff is not None:
+        if prev_diff is not None:
             lam = float(diff @ prev_diff) / float(prev_diff @ prev_diff)
             if 0.0 < lam < _JUMP_MAX_RATE and np.abs(diff - lam * prev_diff).sum() <= _JUMP_FIT * delta:
                 # One real mode of rate lam dominates the error: its tail

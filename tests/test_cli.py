@@ -302,6 +302,13 @@ class TestCompute:
         assert record["error"] == "NoConvergence"
         assert record["iterations"] == 2
 
+    def test_infinite_tolerance_is_a_validation_error(self, capsys, dataset):
+        # Any first step meets an infinite tolerance.
+        argv = ("compute", *base_args(dataset), "--indicator", "ai", "--method", "power", "--tolerance", "inf")
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "ValueError", "message": "tolerance must be positive and finite"}
+
     def test_not_irreducible_lists_components(self, capsys, tmp_path):
         journals = jr.JournalSet((jr.Journal("a", None, 5, 5), jr.Journal("b", None, 5, 5)))
         matrix = jr.CitationMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))

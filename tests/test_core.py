@@ -1,3 +1,4 @@
+import copy
 import time
 
 import numpy as np
@@ -259,3 +260,20 @@ class TestInvariants:
         assert journals.index_of("J3") == 2
         with pytest.raises(KeyError):
             journals.index_of("nope")
+
+    def test_array_holding_values_compare_and_hash_by_identity(self, two_field):
+        # A field-by-field __eq__ compares arrays, which have no single truth
+        # value, so == and `in` would raise ValueError and hash() TypeError.
+        journals, matrix = two_field
+        vector = jr.impact_factor(journals, matrix)
+        values = (
+            matrix,
+            vector,
+            jr.leave_one_out(journals, matrix, 7, "if"),
+            jr.correlation_table([vector, jr.audience_factor(journals, matrix)]),
+        )
+        for value in values:
+            twin = copy.copy(value)
+            assert value == value and value != twin
+            assert value in [twin, value] and twin not in [value]
+            assert hash(value) == hash(value)
