@@ -101,10 +101,11 @@ class CitationMatrix:
         cls, counts: np.ndarray, *, nonzero_count: int | None = None, no_negative_cell: bool = False
     ) -> CitationMatrix:
         """Wrap a square C-ordered float64 array that nothing else
-        references, without copying it: ``drop_journal``'s reduced counts
-        and ``synth.block_model``'s draws. ``nonzero_count`` (when given)
-        and ``no_negative_cell=True`` must equal what a scan of ``counts``
-        would give; the facts not given are scanned for.
+        references, without copying it: ``drop_journal``'s reduced counts,
+        ``synth.block_model``'s draws and ``dataio.read_matrix``'s parsed
+        counts. ``nonzero_count`` (when given) and ``no_negative_cell=True``
+        must equal what a scan of ``counts`` would give; the facts not given
+        are scanned for.
         """
         matrix = cls.__new__(cls)
         matrix._own(counts, nonzero_count, no_negative_cell)
@@ -219,17 +220,20 @@ def validate(journals: JournalSet, matrix: CitationMatrix) -> tuple[JournalSet, 
     if mismatch:
         add(Issue("DimensionMismatch", mismatch))
 
-    finite = np.isfinite(matrix.counts)
-    for code, bad, what in (
-        ("NonFiniteCount", ~finite, "is not finite"),
-        ("NegativeCount", finite & (matrix.counts < 0), "is negative"),
-    ):
-        cells = np.argwhere(bad)
-        room = max(MAX_ISSUES_PER_CODE - found[code], 0)
-        found[code] += len(cells)
-        issues.extend(
-            Issue(code, f"matrix cell ({i}, {j}) {what}", cell=(int(i), int(j))) for i, j in cells[:room]
-        )
+    # A finite row sum has only finite cells, and with no negative cell
+    # either, the two cell scans would find nothing.
+    if matrix.negative_cell is not None or not np.isfinite(matrix.row_sums).all():
+        finite = np.isfinite(matrix.counts)
+        for code, bad, what in (
+            ("NonFiniteCount", ~finite, "is not finite"),
+            ("NegativeCount", finite & (matrix.counts < 0), "is negative"),
+        ):
+            cells = np.argwhere(bad)
+            room = max(MAX_ISSUES_PER_CODE - found[code], 0)
+            found[code] += len(cells)
+            issues.extend(
+                Issue(code, f"matrix cell ({i}, {j}) {what}", cell=(int(i), int(j))) for i, j in cells[:room]
+            )
 
     if issues:
         raise ValidationError(issues, sum(found.values()))

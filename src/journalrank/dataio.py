@@ -22,14 +22,24 @@ integral counts, writing then re-reading and re-writing reproduces the
 files byte for byte, whatever the ids and names hold (commas, quotes, line
 breaks; a file with a carriage return in one quotes every field), for ids
 and names up to 131,072 characters, the csv module's field limit; a longer
-field, like any file the csv reader rejects, fails with ``MalformedCsv``
-naming the file and line. A matrix with a non-integral count is written
-(``1.5``) but cannot be read back.
+field, like any file the csv reader rejects or that is not UTF-8, fails
+with ``MalformedCsv`` naming the file and line. A matrix with a
+non-integral count is written (``1.5``) but cannot be read back.
+
+The format and these rules are the same for every file; only the speed of
+reading a matrix differs. A plain ``matrix.csv``, as ``write_matrix``
+writes it for non-negative integral counts below 10**15 and ids free of
+commas, quotes, line breaks and NUL, is read in bulk: no quote, carriage
+return or NUL byte, line-feed line ends, the header and one row per
+journal in order, each count 1 to 15 ASCII digits. Every other file goes
+through the csv reader, which alone raises every error, so both give the
+same counts and the same error records.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 
 import numpy as np
@@ -61,13 +71,31 @@ def csv_writer(handle, texts):
     return csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL if carriage else csv.QUOTE_MINIMAL)
 
 
+def _read_bytes(path: str | Path) -> bytes:
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
 def _read_rows(path: str | Path) -> list[list[str]]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            return list(reader)
-        except csv.Error as exc:
-            raise _fail("MalformedCsv", f"{path}, line {reader.line_num}: {exc}") from None
+    return _parse_rows(path, _read_bytes(path))
+
+
+def _parse_rows(path: str | Path, data: bytes) -> list[list[str]]:
+    """The csv rows of ``data``, the bytes of the file at ``path``."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The whole file is decoded at once, so exc.start is a file offset;
+        # its line counts \n, \r and \r\n breaks, as the csv reader does.
+        line = len((data[: exc.start] + b".").splitlines())
+        raise _fail(
+            "MalformedCsv", f"{path}, line {line}: byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})"
+        ) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise _fail("MalformedCsv", f"{path}, line {reader.line_num}: {exc}") from None
 
 
 def _parse_count(text: str, what: str) -> int:
@@ -126,7 +154,75 @@ def write_journals(path: str | Path, journals: JournalSet) -> None:
 
 
 def read_matrix(path: str | Path, journals: JournalSet) -> CitationMatrix:
-    rows = _read_rows(path)
+    data = _read_bytes(path)
+    counts = _read_plain_counts(data, journals.ids)
+    if counts is None:
+        return _read_matrix_csv(path, data, journals)
+    return CitationMatrix._adopt(counts, no_negative_cell=True)
+
+
+# Cells of the bulk path: runs of at most this many ASCII digits, so every
+# value is below 10**15 < 2**53 and exact in float64.
+_PLAIN_DIGITS = 15
+
+
+def _read_plain_counts(data: bytes, ids: tuple[str, ...]) -> np.ndarray | None:
+    """The counts of a plain matrix file, or None for the csv path to read.
+
+    Plain means: no quote, carriage return or NUL byte; the header and then
+    one row per id, each on its own line-feed-ended line (the last line
+    feed optional); the header is exactly the corner cell and the ids, and
+    each row is its id, a comma and n comma-separated runs of 1 to 15 ASCII
+    digits; no id is longer than the csv field limit. The csv reader gives
+    such a file the same counts, so it is read here in bulk, one row at a
+    time, without a string per cell. Every other file, among them every
+    file that fails to read, is left to the csv path.
+    """
+    n = len(ids)
+    if b'"' in data or b"\r" in data or b"\0" in data:
+        return None
+    lines = data.split(b"\n")
+    if not lines[-1]:
+        lines.pop()
+    if len(lines) != n + 1 or max(map(len, ids), default=0) > csv.field_size_limit():
+        return None
+    try:
+        header = lines[0].decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if header.split(",") != [MATRIX_CORNER, *ids]:
+        return None
+    counts = np.empty((n, n))
+    # Cell k of a row spans bytes bounds[k] + 1 to bounds[k + 1] - 1.
+    bounds = np.empty(n + 1, dtype=np.intp)
+    bounds[0] = -1
+    for row, ident, line in zip(counts, ids, lines[1:]):
+        prefix = ident.encode("utf-8") + b","
+        body = line[len(prefix) :]
+        if not line.startswith(prefix) or body.translate(None, b"0123456789,"):
+            return None
+        chars = np.frombuffer(body, dtype=np.uint8)
+        commas = np.flatnonzero(chars == ord(","))
+        if commas.size != n - 1:
+            return None
+        bounds[1:n] = commas
+        bounds[n] = chars.size
+        starts = bounds[:-1] + 1
+        widths = bounds[1:] - starts
+        if widths.min() < 1 or widths.max() > _PLAIN_DIGITS:
+            return None
+        # Horner's rule, one pass per digit position: pass k takes the k-th
+        # digit of every cell that has one.
+        row[:] = chars[starts] - ord("0")
+        for k in range(1, widths.max()):
+            live = widths > k
+            row[live] = row[live] * 10 + (chars[starts[live] + k] - ord("0"))
+    return counts
+
+
+def _read_matrix_csv(path: str | Path, data: bytes, journals: JournalSet) -> CitationMatrix:
+    """``read_matrix`` through the csv reader: any file, and every error."""
+    rows = _parse_rows(path, data)
     ids = list(journals.ids)
     if not rows:
         raise _fail("EmptyFile", "matrix file is empty")
@@ -160,7 +256,7 @@ def read_matrix(path: str | Path, journals: JournalSet) -> CitationMatrix:
         except (ValueError, OverflowError):
             for j, cell in enumerate(row[1:]):
                 counts[i, j] = _parse_count(cell, f"citation count ({quote(row[0])} -> {quote(ids[j])})")
-    return CitationMatrix(counts)
+    return CitationMatrix._adopt(counts)
 
 
 def write_matrix(path: str | Path, journals: JournalSet, matrix: CitationMatrix) -> None:

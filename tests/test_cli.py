@@ -205,6 +205,34 @@ class TestCompute:
         where = "articles_t2 of 'a'" if bad_file == "journals" else "citation count ('a' -> 'b')"
         assert issue["message"] == f"{where} has 400 digits, too large for a float"
 
+    @pytest.mark.parametrize("bad_file", ["matrix", "journals"])
+    def test_file_not_in_utf8_is_a_validation_record(self, capsys, tmp_path, bad_file):
+        ident = b"J\xe9" if bad_file == "journals" else b"b"
+        cell = b"\xff" if bad_file == "matrix" else b"4"
+        (tmp_path / "journals.csv").write_bytes(b"id,name,articles_t1,articles_t2\na,,5,5\n" + ident + b",,5,5\n")
+        (tmp_path / "matrix.csv").write_bytes(b"citing\\cited,a,b\na,1,2\nb,3," + cell + b"\n")
+        path = tmp_path / f"{bad_file}.csv"
+        code, out, err = run(
+            capsys,
+            "compute",
+            "--journals",
+            str(tmp_path / "journals.csv"),
+            "--matrix",
+            str(tmp_path / "matrix.csv"),
+            "--indicator",
+            "if",
+        )
+        assert (code, out) == (1, "")
+        detail = "byte 0xff is not UTF-8 (invalid start byte)" if bad_file == "matrix" else (
+            "byte 0xe9 is not UTF-8 (invalid continuation byte)"
+        )
+        message = f"{path}, line 3: {detail}"
+        assert json.loads(err) == {
+            "error": "ValidationError",
+            "message": f"1 validation issue(s): {message}",
+            "issues": [{"code": "MalformedCsv", "message": message, "journal": None, "cell": None}],
+        }
+
     @pytest.mark.parametrize(
         "cell, code, detail",
         [

@@ -34,6 +34,32 @@ class TestValidate:
         assert issue.code == "NegativeCount"
         assert issue.cell == (0, 0)
 
+    def test_row_sum_overflow_of_finite_cells_is_valid(self):
+        journals = journals_of(("a", 1, 1), ("b", 1, 1))
+        with np.errstate(over="ignore"):
+            matrix = jr.CitationMatrix(np.array([[1e308, 1e308], [3.0, 4.0]]))
+        assert np.isinf(matrix.row_sums[0])
+        assert jr.validate(journals, matrix) == (journals, matrix)
+
+    @pytest.mark.parametrize(
+        "value, code, what",
+        [
+            (np.nan, "NonFiniteCount", "is not finite"),
+            (np.inf, "NonFiniteCount", "is not finite"),
+            (-np.inf, "NonFiniteCount", "is not finite"),
+            (-2.0, "NegativeCount", "is negative"),
+        ],
+        ids=["nan", "inf", "minus_inf", "negative"],
+    )
+    def test_bad_cell_records(self, value, code, what):
+        journals = journals_of(("a", 1, 1), ("b", 1, 1))
+        counts = np.ones((2, 2))
+        counts[1, 0] = value
+        with pytest.raises(ValidationError) as err:
+            jr.validate(journals, jr.CitationMatrix(counts))
+        assert [(i.code, i.message, i.cell) for i in err.value.issues] == [(code, f"matrix cell (1, 0) {what}", (1, 0))]
+        assert err.value.issue_count == 1
+
     def test_duplicate_and_empty_ids(self):
         journals = journals_of(("a", 1, 1), ("a", 1, 1), ("", 1, 1))
         matrix = jr.CitationMatrix(np.ones((3, 3)))

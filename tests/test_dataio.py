@@ -262,13 +262,17 @@ class TestCountCells:
         assert err.value.issues[0].code == "NonIntegerCount"
 
     def test_matches_per_cell_reader_on_random_cells(self, tmp_path):
-        pool = ["0", "7", "-3", "+3", " 4", "1_000", "\u0663", "-0", "12345678901234567890123", "9223372036854775807",
-                "-9223372036854775808", "1.5", "", "nan", "1e3", "x"]
+        pool = ["0", "7", "007", "123456789012345", "-3", "+3", " 4", "1_000", "\u0663", "-0",
+                "1234567890123456", "12345678901234567890123", "9223372036854775807", "-9223372036854775808",
+                "1.5", "", "nan", "1e3", "x"]
         # Good cells four times as likely as bad ones, so that some files read through.
-        weights = np.array([4.0] * 11 + [1.0] * 5)
+        weights = np.array([4.0] * 14 + [1.0] * 5)
         rng = np.random.default_rng(5)
-        for _ in range(150):
-            picks = rng.choice(len(pool), size=9, p=weights / weights.sum())
+        bulk = 0
+        for trial in range(200):
+            # Every fourth file holds plain cells (the first four) only, which the bulk path reads.
+            size = 4 if trial % 4 == 0 else len(pool)
+            picks = rng.choice(size, size=9, p=weights[:size] / weights[:size].sum())
             cells = [pool[k] for k in picks]
             expected = read_cells_per_cell(cells)
             if isinstance(expected, tuple):
@@ -280,6 +284,164 @@ class TestCountCells:
                 )
             else:
                 np.testing.assert_array_equal(read_cells(tmp_path, cells).counts, expected)
+            bulk += read_both(tmp_path / "m.csv", abc_journals())
+        assert bulk >= 50
+
+
+def read_outcome(read, *args):
+    """The counts' bytes a reader returns, or the code and message of each issue it raises."""
+    try:
+        return read(*args).counts.tobytes()
+    except ValidationError as exc:
+        return [(issue.code, issue.message) for issue in exc.issues]
+
+
+def read_both(path, journals):
+    """Whether the file at ``path`` reads through the bulk path, after checking
+    that ``read_matrix`` gives what the csv path gives, counts or errors."""
+    data = path.read_bytes()
+    assert read_outcome(dataio.read_matrix, path, journals) == read_outcome(
+        dataio._read_matrix_csv, path, data, journals
+    )
+    return dataio._read_plain_counts(data, journals.ids) is not None
+
+
+PLAIN = b"citing\\cited,a,b,c\na,1,2,3\nb,4,5,6\nc,7,8,9\n"
+
+
+class TestBulkPath:
+    @pytest.mark.parametrize(
+        "data, plain",
+        [
+            (PLAIN, True),
+            (PLAIN.replace(b",5,", b",0005,").replace(b",1,", b",00,"), True),
+            (PLAIN.replace(b",5,", b",999999999999999,"), True),
+            (PLAIN.replace(b",5,", b",9999999999999999,"), False),
+            (PLAIN.replace(b",5,", b",12345678901234567890,"), False),
+            (PLAIN.replace(b",5,", b",+5,"), False),
+            (PLAIN.replace(b",5,", b",-5,"), False),
+            (PLAIN.replace(b",5,", b", 5,"), False),
+            (PLAIN.replace(b",5,", b",5 ,"), False),
+            (PLAIN.replace(b",5,", b",1_000,"), False),
+            (PLAIN.replace(b",5,", ",\u0665,".encode()), False),
+            (PLAIN.replace(b",5,", b',"5",'), False),
+            (PLAIN.replace(b",5,", b",,"), False),
+            (PLAIN.replace(b",5,", b",x,"), False),
+            (PLAIN.replace(b",5,", b",5.0,"), False),
+            (PLAIN.replace(b"\nb,", b'\n"b",'), False),
+            (PLAIN.replace(b",a,", b',"a",'), False),
+            (PLAIN.replace(b"\n", b"\r\n"), False),
+            (PLAIN.replace(b"\n", b"\r"), False),
+            (PLAIN.replace(b"\nb,", b"\n\nb,"), False),
+            (PLAIN + b"\n", False),
+            (PLAIN.replace(b",6\n", b"\n"), False),
+            (PLAIN.replace(b",6\n", b",6,\n"), False),
+            (PLAIN.replace(b",6\n", b",6,7\n"), False),
+            (PLAIN.replace(b"\nb,", b"\nB,"), False),
+            (PLAIN.replace(b",b,c", b",c,b"), False),
+            (PLAIN.replace(b"citing", b"Citing"), False),
+            (PLAIN[:-1], True),
+            (PLAIN.rsplit(b"\n", 2)[0] + b"\n", False),
+            (b"\xef\xbb\xbf" + PLAIN, False),
+            (PLAIN.replace(b",9\n", b",\xff\n"), False),
+            (PLAIN.replace(b",5,", b",5\x00,"), False),
+            (b"", False),
+        ],
+    )
+    def test_three_by_three_reads_as_the_csv_path_does(self, tmp_path, data, plain):
+        (tmp_path / "m.csv").write_bytes(data)
+        assert read_both(tmp_path / "m.csv", abc_journals()) == plain
+
+    @pytest.mark.parametrize(
+        "data, plain",
+        [
+            (b"citing\\cited,a\na,5\n", True),
+            (b"citing\\cited,a\na,5", True),
+            (b"citing\\cited,a\na,0\n", True),
+            (b"citing\\cited,a\na,\n", False),
+            (b"citing\\cited,a\na\n", False),
+            (b"citing\\cited,a\r\na,5\r\n", False),
+            (b'"citing\\cited","a"\n"a","5"\n', False),
+        ],
+    )
+    def test_one_by_one_reads_as_the_csv_path_does(self, tmp_path, data, plain):
+        (tmp_path / "m.csv").write_bytes(data)
+        journals = jr.JournalSet((jr.Journal("a", None, 5, 5),))
+        assert read_both(tmp_path / "m.csv", journals) == plain
+
+    @pytest.mark.parametrize(
+        "ids, header",
+        [
+            (["a,b", "c"], b"a,b,c"),
+            (["\u00e9", "c"], "\u00e9,c".encode()),
+            (["\u00e9", "c"], "\u00e9,c".encode("latin-1")),
+            (["", "c"], b",c"),
+            (["a b", "c"], b"a b,c"),
+            (['"a"', "c"], b'"a",c'),
+            (['a"b', "c"], b'a"b,c'),
+            (["a\r", "c"], b"a\r,c"),
+            (["a\x00", "c"], b"a\x00,c"),
+        ],
+    )
+    def test_ids_read_as_the_csv_path_reads_them(self, tmp_path, ids, header):
+        journals = jr.JournalSet(tuple(jr.Journal(i, None, 5, 5) for i in ids))
+        rows = [b"citing\\cited," + header] + [i.encode("utf-8") + b",1,2" for i in ids]
+        (tmp_path / "m.csv").write_bytes(b"\n".join(rows) + b"\n")
+        read_both(tmp_path / "m.csv", journals)
+
+    def test_an_id_beyond_the_csv_field_limit_is_left_to_the_csv_path(self, tmp_path):
+        journals = jr.JournalSet((jr.Journal("i" * 131_073, None, 5, 5), jr.Journal("b", None, 5, 5)))
+        dataio.write_matrix(tmp_path / "m.csv", journals, jr.CitationMatrix(np.ones((2, 2))))
+        assert not read_both(tmp_path / "m.csv", journals)
+        with pytest.raises(ValidationError) as err:
+            dataio.read_matrix(tmp_path / "m.csv", journals)
+        assert err.value.issues[0].code == "MalformedCsv"
+
+    def test_block_model_export_reads_in_bulk(self, tmp_path):
+        journals, matrix, _ = make_block(seed=21, m=12)
+        dataio.write_matrix(tmp_path / "m.csv", journals, matrix)
+        assert read_both(tmp_path / "m.csv", journals)
+        read = dataio.read_matrix(tmp_path / "m.csv", journals)
+        assert read.counts.tobytes() == matrix.counts.tobytes()
+        assert (read.negative_cell, read.nonzero_count) == (None, matrix.nonzero_count)
+        assert read.row_sums.tobytes() == matrix.row_sums.tobytes()
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize(
+        "name, data, line, detail",
+        [
+            ("journals", b"id,name,articles_t1,articles_t2\nJ1,,5,5\nJ\xe9,,5,5\n", 3,
+             "byte 0xe9 is not UTF-8 (invalid continuation byte)"),
+            ("matrix", b"citing\\cited,a\r\na,\xff\r\n", 2, "byte 0xff is not UTF-8 (invalid start byte)"),
+            ("matrix", b"citing\\cited,a\na,5\xe9", 2, "byte 0xe9 is not UTF-8 (unexpected end of data)"),
+            ("partition", b"id,field\n\xc3\x28,1\n", 2, "byte 0xc3 is not UTF-8 (invalid continuation byte)"),
+        ],
+    )
+    def test_names_the_file_and_line(self, tmp_path, name, data, line, detail):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(data)
+        journals = jr.JournalSet((jr.Journal("a", None, 5, 5),))
+        read = {
+            "journals": lambda: dataio.read_journals(path),
+            "matrix": lambda: dataio.read_matrix(path, journals),
+            "partition": lambda: dataio.read_partition(path, journals),
+        }[name]
+        with pytest.raises(ValidationError) as err:
+            read()
+        (issue,) = err.value.issues
+        assert (issue.code, issue.message) == ("MalformedCsv", f"{path}, line {line}: {detail}")
+
+    def test_line_is_counted_in_the_file_not_the_decoder_buffer(self, tmp_path):
+        journals = jr.JournalSet(tuple(jr.Journal(f"J{k}", None, 5, 5) for k in range(3000)))
+        dataio.write_matrix(tmp_path / "m.csv", journals, jr.CitationMatrix(np.ones((3000, 3000))))
+        data = (tmp_path / "m.csv").read_bytes()
+        (tmp_path / "m.csv").write_bytes(data[:-2] + b"\xff\n")
+        with pytest.raises(ValidationError) as err:
+            dataio.read_matrix(tmp_path / "m.csv", journals)
+        assert err.value.issues[0].message == (
+            f"{tmp_path / 'm.csv'}, line 3001: byte 0xff is not UTF-8 (invalid start byte)"
+        )
 
 
 def write_matrix_per_cell(path, ids, counts):
