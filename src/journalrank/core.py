@@ -113,7 +113,8 @@ class CitationMatrix:
 
     def _own(self, arr: np.ndarray, nonzero_count: int | None = None, no_negative_cell: bool = False) -> None:
         arr.flags.writeable = False
-        sums = arr.sum(axis=1)
+        with np.errstate(over="ignore"):  # an overflowing row is validate's to report
+            sums = arr.sum(axis=1)
         sums.flags.writeable = False
         if nonzero_count is None:
             nonzero_count = int(np.count_nonzero(arr))
@@ -184,7 +185,9 @@ def validate(journals: JournalSet, matrix: CitationMatrix) -> tuple[JournalSet, 
 
     Raises ValidationError reporting every violation found: duplicate or
     empty ids, negative or non-finite article counts, a dimension mismatch,
-    and negative or non-finite matrix cells. The first
+    negative or non-finite matrix cells, and, when every cell is sound, the
+    journals whose citations made or received sum beyond the float range
+    (``SumOverflow``). The first
     ``MAX_ISSUES_PER_CODE`` issues of each code are stored; the error's
     ``issue_count`` is the exact total.
     """
@@ -220,9 +223,11 @@ def validate(journals: JournalSet, matrix: CitationMatrix) -> tuple[JournalSet, 
     if mismatch:
         add(Issue("DimensionMismatch", mismatch))
 
-    # A finite row sum has only finite cells, and with no negative cell
-    # either, the two cell scans would find nothing.
-    if matrix.negative_cell is not None or not np.isfinite(matrix.row_sums).all():
+    # With no negative cell, a finite total has only finite cells, and it
+    # bounds every row and column sum too, so the n² scans would find nothing.
+    with np.errstate(over="ignore"):
+        total = matrix.row_sums.sum()
+    if matrix.negative_cell is not None or not np.isfinite(total):
         finite = np.isfinite(matrix.counts)
         for code, bad, what in (
             ("NonFiniteCount", ~finite, "is not finite"),
@@ -234,6 +239,17 @@ def validate(journals: JournalSet, matrix: CitationMatrix) -> tuple[JournalSet, 
             issues.extend(
                 Issue(code, f"matrix cell ({i}, {j}) {what}", cell=(int(i), int(j))) for i, j in cells[:room]
             )
+        if matrix.negative_cell is None and finite.all():
+            # Every cell is sound, yet the sums exceed the float range.
+            with np.errstate(over="ignore"):
+                received = matrix.counts.sum(axis=0)
+            for what, sums in (("made", matrix.row_sums), ("received", received)):
+                for i in np.flatnonzero(~np.isfinite(sums)):
+                    journal = journals.journals[i].id if mismatch is None else None
+                    who = f"journal {quote(journal)}" if journal is not None else f"matrix index {i}"
+                    add(Issue("SumOverflow", f"citations {what} by {who} sum beyond the float range", journal=journal))
+            if not found["SumOverflow"]:
+                add(Issue("SumOverflow", "the matrix's citations sum beyond the float range"))
 
     if issues:
         raise ValidationError(issues, sum(found.values()))
@@ -337,7 +353,8 @@ def structure(matrix) -> StructureReport:
 
     Depends only on the zero/non-zero pattern. A single journal counts as
     irreducible only when it cites itself. Periodicity is not reported: no
-    solver needs it, since the alpha = 1 power path takes lazy half-steps.
+    solver needs it, since the alpha = 1 power path goes on with lazy
+    half-steps when its plain steps do not settle.
     """
     counts = np.asarray(matrix, dtype=float)
     if counts.shape[0] == 1:

@@ -11,7 +11,10 @@ to larger ones). Tests cross-check them against each other, so keep the
 implementations independent. The power path extrapolates: when its last two
 steps show one real error mode, such as the slow field split of a nearly
 decomposable matrix, it jumps to that mode's limit (vector Aitken
-extrapolation) and measures the contraction afresh before it may stop. An
+extrapolation) and measures the contraction afresh before it may stop. At
+alpha = 1 it takes plain steps x <- xS and, when they have not settled
+within a fixed budget (a periodic or nearly periodic chain), half-lazy steps
+x <- (x + xS)/2, which converge on every irreducible chain. An
 alpha = 1 solve checks irreducibility with
 ``core.require_irreducible``; the strongly connected components are
 computed only to describe a failure. Solved vectors are not cached: every
@@ -37,9 +40,10 @@ METHODS = ("auto", "direct", "power")
 # extraction, paid once per matrix, is repaid after 40-55 steps at 5 %
 # density but only after 60-95 at 7 %, so the lower cut keeps the sparse
 # path ahead on a matrix solved at several dampings. Since the power path
-# extrapolates, alpha = 0.85 to 1 takes about 22-73 steps at n = 1500, 1 %,
-# so one lone solve near the cut may not repay the extraction; the cut has
-# not been measured again with these step counts.
+# extrapolates and takes plain steps at alpha = 1, alpha = 0.85 to 1 takes
+# about 22-31 steps at n = 1500, 1 %, so one lone solve near the cut may not
+# repay the extraction; the cut has not been measured again with these step
+# counts.
 SPARSE_DENSITY = 0.05
 
 # Power iteration stops once the extrapolated error (step size times
@@ -59,6 +63,13 @@ _PLATEAU_PATIENCE = 50
 # near 1 on 40- and 90-journal cycles, whose solves then never converged.
 _JUMP_FIT = 1e-2
 _JUMP_MAX_RATE = 1.0 - 1e-6
+# At alpha = 1 the first _PLAIN_STEPS steps are plain, x <- xS, whose error
+# modes shrink at their own rate |lam|; the half-lazy step x <- (x + xS)/2
+# maps each lam to (1 + lam)/2, so no mode shrinks by more than half a step.
+# A plain step never converges on a periodic chain and crawls on a nearly
+# periodic one, so a solve still running after _PLAIN_STEPS steps goes on
+# half-lazy.
+_PLAIN_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -113,7 +124,9 @@ def share_step(matrix: core.CitationMatrix):
 
     Below SPARSE_DENSITY non-zero cells it sums over the non-zeros alone,
     each divided by its row sum once per call of ``share_step``; denser
-    inputs use the dense ``(x / row_sums) @ counts``. Meaningful once every
+    inputs use the dense ``(x / row_sums) @ counts``. The non-zeros are
+    row-major, so repeating each x_j by its row's non-zero count gives the
+    same array as the gather ``x[rows]``, at less cost. Meaningful once every
     row sum is positive.
     """
     n = matrix.n
@@ -123,7 +136,8 @@ def share_step(matrix: core.CitationMatrix):
         return lambda x: (x / sums) @ counts
     rows, cols, counts = matrix.nonzeros
     shares = counts / sums[rows]
-    return lambda x: np.bincount(cols, weights=x[rows] * shares, minlength=n)
+    per_row = np.bincount(rows, minlength=n)
+    return lambda x: np.bincount(cols, weights=np.repeat(x, per_row) * shares, minlength=n)
 
 
 def _direct(matrix: core.CitationMatrix, alpha: float, teleport: np.ndarray):
@@ -152,7 +166,7 @@ def _power(matrix: core.CitationMatrix, alpha: float, teleport: np.ndarray, conf
     step = share_step(matrix)
     x = np.array(teleport, dtype=float)
     x /= x.sum()
-    lazy = alpha == 1.0
+    lazy = False
     tol = config.tolerance
     prev_delta = np.inf
     plateau = 0
@@ -160,8 +174,14 @@ def _power(matrix: core.CitationMatrix, alpha: float, teleport: np.ndarray, conf
     prev_diff = None  # the last step's difference, None right after a jump
     jumped = 0.0  # largest mode rate extrapolated away so far
     for iteration in range(1, config.max_iterations + 1):
+        if alpha == 1.0 and iteration == _PLAIN_STEPS + 1:
+            # The plain steps stalled (a periodic or nearly periodic chain):
+            # go on with half-lazy steps, which share the fixed point and
+            # converge on any irreducible chain. Rates measured so far
+            # belong to the other map; the floor from past jumps stays.
+            lazy = True
+            prev_diff, prev_delta, plateau = None, np.inf, 0
         if lazy:
-            # Half-lazy step: same fixed point, converges for periodic chains.
             x_next = 0.5 * step(x) + 0.5 * x
         else:
             x_next = alpha * step(x) + (1.0 - alpha) * teleport

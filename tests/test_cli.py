@@ -205,6 +205,27 @@ class TestCompute:
         where = "articles_t2 of 'a'" if bad_file == "journals" else "citation count ('a' -> 'b')"
         assert issue["message"] == f"{where} has 400 digits, too large for a float"
 
+    @pytest.mark.parametrize("kind", ["ipp", "if"])
+    def test_row_sum_beyond_float_range_is_a_validation_record(self, capsys, tmp_path, kind):
+        # Each cell, 1e308, is a float; their row sum is not.
+        huge = "1" + "0" * 308
+        (tmp_path / "journals.csv").write_text("id,name,articles_t1,articles_t2\na,,10,10\nb,,10,10\n")
+        (tmp_path / "matrix.csv").write_text(f"citing\\cited,a,b\na,{huge},{huge}\nb,1,1\n")
+        code, out, err = run(capsys, "compute", *base_args(tmp_path), "--indicator", kind)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "ValidationError",
+            "message": "1 validation issue(s): citations made by journal 'a' sum beyond the float range",
+            "issues": [
+                {
+                    "code": "SumOverflow",
+                    "message": "citations made by journal 'a' sum beyond the float range",
+                    "journal": "a",
+                    "cell": None,
+                }
+            ],
+        }
+
     @pytest.mark.parametrize("bad_file", ["matrix", "journals"])
     def test_file_not_in_utf8_is_a_validation_record(self, capsys, tmp_path, bad_file):
         ident = b"J\xe9" if bad_file == "journals" else b"b"
@@ -323,12 +344,12 @@ class TestCompute:
             "--method",
             "power",
             "--max-iterations",
-            "2",
+            "1",
         )
         assert code == 2
         record = json.loads(err)
         assert record["error"] == "NoConvergence"
-        assert record["iterations"] == 2
+        assert record["iterations"] == 1
 
     def test_infinite_tolerance_is_a_validation_error(self, capsys, dataset):
         # Any first step meets an infinite tolerance.

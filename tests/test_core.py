@@ -34,12 +34,47 @@ class TestValidate:
         assert issue.code == "NegativeCount"
         assert issue.cell == (0, 0)
 
-    def test_row_sum_overflow_of_finite_cells_is_valid(self):
+    @pytest.mark.parametrize(
+        "counts, expected",
+        [
+            ([[1e308, 1e308], [3.0, 4.0]], [("citations made by journal 'a' sum beyond the float range", "a")]),
+            ([[1e308, 0.0], [1e308, 1.0]], [("citations received by journal 'a' sum beyond the float range", "a")]),
+            ([[1e308, 0.0], [0.0, 1e308]], [("the matrix's citations sum beyond the float range", None)]),
+            (
+                [[1e308, 1e308], [1e308, 1.0]],
+                [
+                    ("citations made by journal 'a' sum beyond the float range", "a"),
+                    ("citations received by journal 'a' sum beyond the float range", "a"),
+                ],
+            ),
+        ],
+        ids=["row", "column", "total", "row_and_column"],
+    )
+    def test_sums_beyond_the_float_range_are_reported(self, counts, expected):
+        # Every cell is finite; only their sums overflow. Building the matrix
+        # and validating it raise no overflow warning (warnings are errors here).
         journals = journals_of(("a", 1, 1), ("b", 1, 1))
-        with np.errstate(over="ignore"):
-            matrix = jr.CitationMatrix(np.array([[1e308, 1e308], [3.0, 4.0]]))
-        assert np.isinf(matrix.row_sums[0])
-        assert jr.validate(journals, matrix) == (journals, matrix)
+        matrix = jr.CitationMatrix(np.array(counts))
+        with pytest.raises(ValidationError) as err:
+            jr.validate(journals, matrix)
+        assert [(i.code, i.message, i.journal) for i in err.value.issues] == [("SumOverflow", *e) for e in expected]
+
+    def test_overflowing_sum_of_a_mismatched_matrix_is_named_by_index(self):
+        journals = journals_of(("a", 1, 1))
+        matrix = jr.CitationMatrix(np.array([[1.0, 0.0], [1e308, 1e308]]))
+        with pytest.raises(ValidationError) as err:
+            jr.validate(journals, matrix)
+        assert [(i.code, i.message, i.journal) for i in err.value.issues] == [
+            ("DimensionMismatch", "journal set has 1 journals but matrix is 2x2", None),
+            ("SumOverflow", "citations made by matrix index 1 sum beyond the float range", None),
+        ]
+
+    def test_bad_cells_are_reported_before_overflowing_sums(self):
+        journals = journals_of(("a", 1, 1), ("b", 1, 1))
+        matrix = jr.CitationMatrix(np.array([[1e308, 1e308], [np.nan, 4.0]]))
+        with pytest.raises(ValidationError) as err:
+            jr.validate(journals, matrix)
+        assert [(i.code, i.cell) for i in err.value.issues] == [("NonFiniteCount", (1, 0))]
 
     @pytest.mark.parametrize(
         "value, code, what",

@@ -347,7 +347,8 @@ def bipartite_cycle():
 class TestEdgeCases:
     def test_periodic_chain_direct_and_power_agree(self):
         # Periodicity is no solver precondition: at alpha = 1 the power path
-        # takes lazy half-steps, which converge on a period-2 chain.
+        # falls back from plain steps, which never settle on a period-2
+        # chain, to lazy half-steps, which converge on it.
         journals, matrix = bipartite_cycle()
         assert all((i + j) % 2 == 1 for i, j in np.argwhere(matrix.counts > 0))
         assert jr.structure(matrix).irreducible
