@@ -7,18 +7,20 @@ builds S densely, for the direct path.
 
 Two independent paths solve the same fixed-point problems: dense direct
 elimination (oracle-grade on small instances) and power iteration (scales
-to larger ones). Tests cross-check them against each other, so keep the
-implementations independent. The power path extrapolates: when its last two
-steps show one real error mode, such as the slow field split of a nearly
-decomposable matrix, it jumps to that mode's limit (vector Aitken
-extrapolation) and measures the contraction afresh before it may stop. At
-alpha = 1 it takes plain steps x <- xS and, when they have not settled
-within a fixed budget (a periodic or nearly periodic chain), half-lazy steps
-x <- (x + xS)/2, which converge on every irreducible chain. An
-alpha = 1 solve checks irreducibility with
-``core.require_irreducible``; the strongly connected components are
-computed only to describe a failure. Solved vectors are not cached: every
-call solves.
+to larger ones). Tests cross-check them against each other and against an
+extended-precision solve, so keep the implementations independent. Direct
+elimination solves one nonsingular system at every damping, alpha = 1
+included: x (I - alpha S + 1 t^T) = (2 - alpha) t, whose solution sums
+to 1. The power path extrapolates: when its last two steps show one real
+error mode, such as the slow field split of a nearly decomposable matrix,
+it jumps to that mode's limit (vector Aitken extrapolation) and measures
+the contraction afresh before it may stop. At alpha = 1 it takes plain
+steps x <- xS and, when they have not settled within a fixed budget (a
+periodic or nearly periodic chain), half-lazy steps x <- (x + xS)/2, which
+converge on every irreducible chain. An alpha = 1 solve checks
+irreducibility with ``core.require_irreducible``; the strongly connected
+components are computed only to describe a failure. Solved vectors are not
+cached: every call solves.
 """
 
 from __future__ import annotations
@@ -30,7 +32,18 @@ import numpy as np
 from . import core
 from .errors import NoConvergence, ZeroOutgoing
 
-DIRECT_LIMIT = 64
+# Largest journal count that method "auto" solves by direct elimination: the
+# largest size of the grid n = 64, 96, 128, 160, 200, 256 at which direct was
+# no slower than power on both generators below. Measured with one BLAS
+# thread (x86-64), median of 100 solves, article-share teleport, alpha 0.85
+# and 1, on block_model's default dense fields and on weakly coupled ones
+# (within_mean 1, cross_mean 0.01): at n = 128 direct took 0.46-0.51 ms and
+# power 0.48-0.50 ms on the dense fields, 0.64-0.84 ms on the weak ones; at
+# n = 160 direct took 0.77-1.05 ms and power 0.39-0.87 ms. Power's step
+# count moves the crossover: at n = 112 the dense fields took 11-16 steps
+# and power was 0.04-0.12 ms faster. Direct's cost does not depend on how
+# slowly the chain mixes; power's does.
+DIRECT_LIMIT = 128
 # The values of SolverConfig.method.
 METHODS = ("auto", "direct", "power")
 # Share of non-zero cells below which the power path iterates over the
@@ -87,6 +100,8 @@ class SolverConfig:
     method: str = "auto"
 
     def __post_init__(self):
+        if isinstance(self.tolerance, (bool, np.bool_)):
+            raise ValueError("tolerance must be a number, not a bool")
         if not 0.0 < self.tolerance < np.inf:
             raise ValueError("tolerance must be positive and finite")
         count = self.max_iterations
@@ -141,23 +156,15 @@ def share_step(matrix: core.CitationMatrix):
 
 
 def _direct(matrix: core.CitationMatrix, alpha: float, teleport: np.ndarray):
-    n = matrix.n
+    # x (I - alpha S + 1 t^T) = (2 - alpha) t. Summing both sides gives
+    # sum(x) = 1, and then x = alpha x S + (1 - alpha) t. The eigenvalues are
+    # 2 - alpha and 1 - alpha lam for the other eigenvalues lam of S, so the
+    # system is nonsingular for alpha < 1 and, on an irreducible S, at 1.
     shares = reference_shares(matrix)
-    if alpha == 1.0:
-        # Singular eigen-system: replace one equation with the sum constraint.
-        system = np.eye(n) - shares.T
-        system[-1, :] = 1.0
-        rhs = np.zeros(n)
-        rhs[-1] = 1.0
-    else:
-        system = np.eye(n) - alpha * shares.T
-        rhs = (1.0 - alpha) * teleport
-    x = np.linalg.solve(system, rhs)
+    system = np.eye(matrix.n) - alpha * shares.T + teleport[:, None]
+    x = np.linalg.solve(system, (2.0 - alpha) * teleport)
     x = x / x.sum()
-    if alpha == 1.0:
-        step = x @ shares
-    else:
-        step = alpha * (x @ shares) + (1.0 - alpha) * teleport
+    step = alpha * (x @ shares) + (1.0 - alpha) * teleport
     residual = float(np.abs(x - step).sum())
     return x, SolverReport(0, residual, "direct")
 

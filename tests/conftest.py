@@ -29,7 +29,8 @@ def near_decomposable():
 
 @pytest.fixture(scope="session")
 def zoo(two_field, near_decomposable):
-    """Named irreducible instances (all n <= 64, all rows citing)."""
+    """Named irreducible instances (all n <= 64, within spectral.DIRECT_LIMIT
+    so `auto` solves them directly; all rows citing)."""
     js8, cm8 = two_field
     js2, cm2, _ = near_decomposable
     items = [

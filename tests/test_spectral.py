@@ -44,6 +44,10 @@ class TestConfig:
             {"max_iterations": True},
             {"max_iterations": 2.5},
             {"max_iterations": 100.0},
+            # A bool is an int: True read as tolerance 1.0 reported IPP on
+            # table1 converged after one power step, residual 0.98.
+            {"tolerance": True},
+            {"tolerance": np.True_},
         ],
     )
     def test_rejected(self, kwargs):
@@ -176,6 +180,112 @@ class TestStationary:
         shares = np.array([[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(ValueError, match="finite"):
             stationary(shares, 0.5, np.array(teleport), SolverConfig(method=method))
+
+
+def mp_reference(counts, alpha, teleport=None):
+    """The fixed point to 40 digits, built in mpmath from the integer counts.
+
+    For alpha < 1 it solves the damped system x (I - alpha S) = (1 - alpha) t;
+    at alpha = 1 it solves x (I - S) = 0 with the last equation replaced by
+    sum(x) = 1, which needs no teleport. Both are independent of the
+    formulation ``spectral`` solves.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    assert np.array_equal(counts, np.round(counts))
+    n = counts.shape[0]
+    with mpmath.workdps(40):
+        rows = [[mpmath.mpf(int(c)) for c in row] for row in counts]
+        sums = [mpmath.fsum(row) for row in rows]
+        a = mpmath.mpf(alpha)
+        system = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                system[i, j] = (i == j) - a * rows[j][i] / sums[j]
+        if alpha == 1.0:
+            for j in range(n):
+                system[n - 1, j] = 1
+            rhs = mpmath.matrix(n, 1)
+            rhs[n - 1] = 1
+        else:
+            rhs = mpmath.matrix([(1 - a) * mpmath.mpf(float(v)) for v in teleport])
+        x = mpmath.lu_solve(system, rhs)
+        total = mpmath.fsum(x)
+        return np.array([float(v / total) for v in x])
+
+
+def _teleports(journals, n):
+    return {"uniform": np.full(n, 1.0 / n), "articles": journals.articles_t1 / journals.articles_t1.sum()}
+
+
+ORACLE_CROSS = (0.002, 2e-4)
+
+
+@pytest.fixture(scope="module")
+def weak_block80():
+    """Two 40-journal fields that cite each other rarely, each with its alpha
+    = 1 reference (about 1.3 s of mpmath each)."""
+    instances = {}
+    for cross in ORACLE_CROSS:
+        journals, matrix, _ = jr.block_model(jr.BlockModelSpec(40, cross_mean=cross, seed=1))
+        instances[cross] = (journals, matrix, mp_reference(matrix.counts, 1.0))
+    return instances
+
+
+@pytest.fixture(scope="module")
+def small_chains(two_field, near_decomposable):
+    """Instances of at most 30 journals with their uniform and article-share
+    teleports."""
+    rng = np.random.default_rng(7)
+    bipartite = rng.poisson(0.02, (30, 30)).astype(float)
+    bipartite[:15, 15:] = rng.poisson(2.0, (15, 15))
+    bipartite[15:, :15] = rng.poisson(2.0, (15, 15))
+    ramp = np.arange(1.0, 31.0) / np.arange(1.0, 31.0).sum()
+    journals, matrix, _ = jr.block_model(jr.BlockModelSpec(15, cross_mean=0.002, seed=1))
+    items = [("table1", *two_field), ("near_decomposable", *near_decomposable[:2]), ("block_m15", journals, matrix)]
+    chains = [(name, m, _teleports(js, m.n)) for name, js, m in items]
+    for name, counts in (("cycle_30", np.roll(np.eye(30), 1, axis=1)), ("bipartite_30", bipartite)):
+        chains.append((name, jr.CitationMatrix(counts), {"uniform": np.full(30, 1.0 / 30), "ramp": ramp}))
+    return chains
+
+
+class TestExtendedPrecisionOracle:
+    """Direct elimination against a 40-digit solve. On weakly coupled fields
+    (lambda_2 up to 0.99994) at alpha = 1, swapping one equation of the
+    singular system for the sum constraint sat 2.25e-12 and 3.06e-12 L1 off."""
+
+    @pytest.mark.parametrize("teleport", ("uniform", "articles"))
+    @pytest.mark.parametrize("cross", ORACLE_CROSS)
+    def test_full_damping_on_weakly_coupled_fields(self, weak_block80, cross, teleport):
+        journals, matrix, expected = weak_block80[cross]
+        p, report = stationary(matrix, 1.0, _teleports(journals, matrix.n)[teleport], SolverConfig(method="direct"))
+        assert report.method_used == "direct"
+        assert np.abs(p - expected).sum() <= 1e-12
+
+    @pytest.mark.parametrize("alpha", (0.5, 0.85, 0.99))
+    def test_damped_small_chains(self, small_chains, alpha):
+        for name, matrix, teleports in small_chains:
+            for label, teleport in teleports.items():
+                p, _ = stationary(matrix, alpha, teleport, SolverConfig(method="direct"))
+                gap = np.abs(p - mp_reference(matrix.counts, alpha, teleport)).sum()
+                assert gap <= 5e-14, (name, label)
+
+    def test_ipp_at_default_settings(self, weak_block80):
+        # Forced power raises NoConvergence here after 100,000 steps; 80
+        # journals lie within DIRECT_LIMIT, so auto solves it directly.
+        journals, matrix, q = weak_block80[2e-4]
+        ipp = jr.compute("ipp", journals, matrix)
+        assert ipp.solver.method_used == "direct"
+        # IW is q / s scaled to sum(w s) = sum(s), and q sums to 1.
+        sums = matrix.row_sums
+        expected = q * sums.sum() / (journals.n * journals.articles_t1)
+        assert np.abs(ipp.values - expected).sum() <= 1e-12 * expected.sum()
+
+    def test_auto_switches_to_power_above_the_limit(self):
+        for n, method in ((spectral.DIRECT_LIMIT, "direct"), (spectral.DIRECT_LIMIT + 1, "power")):
+            counts = np.random.default_rng(n).poisson(5.0, (n, n)) + 1.0
+            for alpha in (0.85, 1.0):
+                _, report = stationary(counts, alpha, np.full(n, 1.0 / n))
+                assert report.method_used == method, (n, alpha)
 
 
 @pytest.fixture(scope="module")
