@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from . import core, indicators
-from .errors import DegenerateInput
+from .errors import DegenerateInput, quote
 
 TIE_TOLERANCE = 1e-9
 """Relative gap below which two neighbouring sorted values rank as tied.
@@ -30,16 +30,38 @@ def _clean_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def pearson(x, y) -> float:
-    """Product-moment correlation, two-pass (mean-subtracted) formula."""
-    x, y = _clean_pair(x, y)
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx = float(dx @ dx)
-    sy = float(dy @ dy)
-    if sx == 0.0 or sy == 0.0:
+def _correlations(rows: np.ndarray) -> np.ndarray:
+    """Pearson grid of the rows of a finite (m, n) array, n >= 2.
+
+    Each row is divided by its largest magnitude, which leaves its
+    correlations unchanged but keeps the squares and products in range for
+    values near the overflow or underflow threshold. The centred rows d give
+    one Gram product G = d @ d.T and the grid G_ij / sqrt(G_ii G_jj); its
+    upper triangle is mirrored and its diagonal set to 1, so the grid is
+    exactly symmetric whatever order the product summed in. Raises
+    DegenerateInput for a constant row.
+    """
+    peak = np.abs(rows).max(axis=1, keepdims=True)
+    peak[peak == 0.0] = 1.0  # an all-zero row stays zero and is caught below
+    centred = rows / peak
+    centred -= centred.mean(axis=1, keepdims=True)
+    gram = centred @ centred.T
+    square = np.diag(gram)
+    if np.any(square == 0.0):
         raise DegenerateInput("zero variance input")
-    return float((dx @ dy) / np.sqrt(sx * sy))
+    grid = gram / np.sqrt(np.outer(square, square))
+    upper = np.triu_indices(len(grid), 1)
+    grid.T[upper] = grid[upper]
+    np.fill_diagonal(grid, 1.0)
+    return grid
+
+
+def pearson(x, y) -> float:
+    """Product-moment correlation, two-pass (mean-subtracted) formula: the
+    two-row case of the grid that ``correlation_table`` builds, each vector
+    scaled by its largest magnitude first."""
+    x, y = _clean_pair(x, y)
+    return float(_correlations(np.stack([x, y]))[0, 1])
 
 
 def average_ranks(values) -> np.ndarray:
@@ -82,21 +104,27 @@ class CorrelationMatrix:
 
 
 def correlation_table(vectors: Sequence[indicators.IndicatorVector]) -> CorrelationMatrix:
-    """Full correlation grids over a list of indicator vectors."""
+    """Full correlation grids over a list of indicator vectors.
+
+    The values, and their ``average_ranks``, are stacked into one array
+    each, and each grid comes from one centred Gram product, as in
+    ``pearson``: every entry equals the pairwise ``pearson`` or ``spearman``
+    call up to the products' summation order. Raises DegenerateInput for
+    fewer than two vectors, unequal lengths, fewer than two journals or a
+    constant vector.
+    """
     if len(vectors) < 2:
         raise DegenerateInput("need at least two indicator vectors")
     length = vectors[0].n
     if any(v.n != length for v in vectors):
         raise DegenerateInput("indicator vectors must have equal length")
+    if length < 2:
+        raise DegenerateInput("need at least two points")
     labels = tuple(v.label() for v in vectors)
-    ranks = [average_ranks(v.values) for v in vectors]
-    m = len(vectors)
-    p = np.eye(m)
-    s = np.eye(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            p[i, j] = p[j, i] = pearson(vectors[i].values, vectors[j].values)
-            s[i, j] = s[j, i] = pearson(ranks[i], ranks[j])
+    values = np.stack([v.values for v in vectors])
+    ranks = np.stack([average_ranks(row) for row in values])
+    p = _correlations(values)
+    s = _correlations(ranks)
     p.flags.writeable = False
     s.flags.writeable = False
     return CorrelationMatrix(labels, p, s)
@@ -105,11 +133,24 @@ def correlation_table(vectors: Sequence[indicators.IndicatorVector]) -> Correlat
 def top_k(
     journals: core.JournalSet, indicator: indicators.IndicatorVector, k: int
 ) -> list[tuple[str, float]]:
-    """Best k journals by score, descending; ties broken by id ascending."""
+    """Best k journals by score, descending; ties broken by id ascending,
+    then by position.
+
+    One stable ``np.lexsort`` on (-score, id rank). The id ranks come from
+    Python's string order, which numpy's fixed-width strings do not keep
+    (they drop trailing NULs, so "J1" and "J1\\x00" would compare equal).
+    Raises TypeError unless ``k`` is an integer (bool is not one), and
+    ValueError unless 0 <= k <= n.
+    """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise TypeError(f"k must be an integer, got {type(k).__name__} {quote(str(k))}")
     if indicator.n != journals.n:
         raise ValueError("indicator length must match the journal set")
     if not 0 <= k <= journals.n:
         raise ValueError(f"k must lie in [0, {journals.n}]")
     ids = journals.ids
-    order = sorted(range(journals.n), key=lambda i: (-indicator.values[i], ids[i]))
-    return [(ids[i], float(indicator.values[i])) for i in order[:k]]
+    values = indicator.values
+    id_rank = np.empty(len(ids), dtype=np.intp)
+    id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    order = np.lexsort((id_rank, -values))[:k]
+    return [(ids[i], float(values[i])) for i in order.tolist()]

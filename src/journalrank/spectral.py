@@ -140,9 +140,9 @@ def share_step(matrix: core.CitationMatrix):
     Below SPARSE_DENSITY non-zero cells it sums over the non-zeros alone,
     each divided by its row sum once per call of ``share_step``; denser
     inputs use the dense ``(x / row_sums) @ counts``. The non-zeros are
-    row-major, so repeating each x_j by its row's non-zero count gives the
-    same array as the gather ``x[rows]``, at less cost. Meaningful once every
-    row sum is positive.
+    row-major, so repeating each x_j (and each row sum) by its row's
+    non-zero count gives the same array as the gather ``x[rows]``, at less
+    cost. Meaningful once every row sum is positive.
     """
     n = matrix.n
     sums = matrix.row_sums
@@ -150,9 +150,15 @@ def share_step(matrix: core.CitationMatrix):
         counts = matrix.counts
         return lambda x: (x / sums) @ counts
     rows, cols, counts = matrix.nonzeros
-    shares = counts / sums[rows]
     per_row = np.bincount(rows, minlength=n)
-    return lambda x: np.bincount(cols, weights=np.repeat(x, per_row) * shares, minlength=n)
+    shares = counts / np.repeat(sums, per_row)
+
+    def step(x):
+        weights = np.repeat(x, per_row)
+        weights *= shares
+        return np.bincount(cols, weights=weights, minlength=n)
+
+    return step
 
 
 def _direct(matrix: core.CitationMatrix, alpha: float, teleport: np.ndarray):
@@ -170,7 +176,12 @@ def _direct(matrix: core.CitationMatrix, alpha: float, teleport: np.ndarray):
 
 
 def _power(matrix: core.CitationMatrix, alpha: float, teleport: np.ndarray, config: SolverConfig):
+    # Each step works in place on the fresh array that ``step`` returns and
+    # adds the teleport term computed once: the same operations on the same
+    # operands as the expression alpha * step(x) + (1 - alpha) * teleport,
+    # so the iterates are bitwise those of that expression.
     step = share_step(matrix)
+    damped_teleport = (1.0 - alpha) * teleport
     x = np.array(teleport, dtype=float)
     x /= x.sum()
     lazy = False
@@ -179,6 +190,7 @@ def _power(matrix: core.CitationMatrix, alpha: float, teleport: np.ndarray, conf
     plateau = 0
     delta = np.inf
     prev_diff = None  # the last step's difference, None right after a jump
+    prev_square = 0.0  # prev_diff @ prev_diff, kept for the next fit
     jumped = 0.0  # largest mode rate extrapolated away so far
     for iteration in range(1, config.max_iterations + 1):
         if alpha == 1.0 and iteration == _PLAIN_STEPS + 1:
@@ -188,10 +200,13 @@ def _power(matrix: core.CitationMatrix, alpha: float, teleport: np.ndarray, conf
             # belong to the other map; the floor from past jumps stays.
             lazy = True
             prev_diff, prev_delta, plateau = None, np.inf, 0
+        x_next = step(x)
         if lazy:
-            x_next = 0.5 * step(x) + 0.5 * x
+            x_next *= 0.5
+            x_next += 0.5 * x
         else:
-            x_next = alpha * step(x) + (1.0 - alpha) * teleport
+            x_next *= alpha
+            x_next += damped_teleport
         x_next /= x_next.sum()
         diff = x_next - x
         delta = float(np.abs(diff).sum())
@@ -199,7 +214,7 @@ def _power(matrix: core.CitationMatrix, alpha: float, teleport: np.ndarray, conf
         if delta == 0.0:
             return x, SolverReport(iteration, delta, "power")
         if prev_diff is not None:
-            lam = float(diff @ prev_diff) / float(prev_diff @ prev_diff)
+            lam = float(diff @ prev_diff) / prev_square
             if 0.0 < lam < _JUMP_MAX_RATE and np.abs(diff - lam * prev_diff).sum() <= _JUMP_FIT * delta:
                 # One real mode of rate lam dominates the error: its tail
                 # sums to diff * lam / (1 - lam). The limit is non-negative,
@@ -210,6 +225,7 @@ def _power(matrix: core.CitationMatrix, alpha: float, teleport: np.ndarray, conf
                 prev_diff, prev_delta, plateau = None, np.inf, 0
                 continue
         prev_diff = diff
+        prev_square = float(diff @ diff)
         if delta <= tol:
             if np.isfinite(prev_delta):
                 rho = max(delta / prev_delta, jumped)

@@ -59,6 +59,21 @@ def test_non_finite_input_rejected(correlation, bad, side):
         correlation(x, y)
 
 
+SCALE_X = np.array([1.0, 2.0, 3.0, 5.0])
+SCALE_Y = np.array([2.0, 1.0, 4.0, 3.0])
+
+
+@pytest.mark.parametrize("correlation", (jr.pearson, jr.spearman))
+@pytest.mark.parametrize("scale", (1e200, 1e-200))
+def test_extreme_magnitudes_keep_the_correlation(correlation, scale):
+    # Squares of 1e200 overflow and of 1e-200 underflow; each vector is
+    # scaled by its largest magnitude before the products.
+    expected = correlation(SCALE_X, SCALE_Y)
+    assert correlation(SCALE_X * scale, SCALE_Y) == pytest.approx(expected, abs=1e-15)
+    assert correlation(SCALE_X, SCALE_Y * scale) == pytest.approx(expected, abs=1e-15)
+    assert correlation(SCALE_X * scale, SCALE_Y * scale) == pytest.approx(expected, abs=1e-15)
+
+
 class TestSpearman:
     def test_tie_ranks_use_run_means(self):
         np.testing.assert_array_equal(jr.average_ranks([1.0, 2.0, 2.0, 3.0]), [1.0, 2.5, 2.5, 4.0])
@@ -143,11 +158,59 @@ class TestCorrelationTable:
 
     def test_needs_two_equal_length_vectors(self, vectors):
         _, vecs = vectors
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(DegenerateInput, match="need at least two indicator vectors"):
             jr.correlation_table(vecs[:1])
         short = jr.IndicatorVector("IF", vecs[0].values[:5])
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(DegenerateInput, match="indicator vectors must have equal length"):
             jr.correlation_table([vecs[0], short])
+
+    def test_single_journal_and_constant_vectors_are_degenerate(self, vectors):
+        _, vecs = vectors
+        cases = [
+            ([jr.IndicatorVector("IF", [1.0]), jr.IndicatorVector("AF", [2.0])], "need at least two points"),
+            ([vecs[0], jr.IndicatorVector("IF", np.full(vecs[0].n, 0.25))], "zero variance input"),
+            ([jr.IndicatorVector("IF", np.zeros(vecs[0].n)), vecs[1]], "zero variance input"),
+        ]
+        for bad, message in cases:
+            with pytest.raises(DegenerateInput, match=message):
+                jr.correlation_table(bad)
+
+    @pytest.mark.parametrize("scale", (1e200, 1e-200))
+    def test_extreme_magnitudes_keep_the_grids(self, scale):
+        plain = [jr.IndicatorVector("IF", SCALE_X), jr.IndicatorVector("AF", SCALE_Y)]
+        scaled = [jr.IndicatorVector("IF", SCALE_X * scale), jr.IndicatorVector("AF", SCALE_Y)]
+        expected = jr.correlation_table(plain)
+        table = jr.correlation_table(scaled)
+        np.testing.assert_allclose(table.pearson, expected.pearson, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(table.spearman, expected.spearman, rtol=0, atol=1e-15)
+
+
+@pytest.fixture(scope="module")
+def sweep_family():
+    """The indicator family of the damping sweep on a sparse 1500-journal
+    instance (two fields of 750, within_mean 0.02, cross_mean 0.002, seed 1)."""
+    journals, matrix, _ = jr.block_model(
+        jr.BlockModelSpec(750, within_mean=0.02, cross_mean=0.002, seed=1)
+    )
+    family = [jr.compute("ai", journals, matrix, alpha=a) for a in (0.0, 0.25, 0.5, 0.85, 0.99, 1.0)]
+    family += [jr.compute(kind, journals, matrix) for kind in ("if", "af", "ipp", "sjr")]
+    family.append(jr.compute("wpr", journals, matrix, beta=1.0, gamma=0.0))
+    return family
+
+
+def test_sweep_family_grid_matches_pairwise_calls(sweep_family):
+    table = jr.correlation_table(sweep_family)
+    assert table.pearson.shape == (11, 11)
+    for i, a in enumerate(sweep_family):
+        for j, b in enumerate(sweep_family):
+            if i != j:
+                assert table.pearson[i, j] == pytest.approx(jr.pearson(a.values, b.values), abs=1e-15)
+                assert table.spearman[i, j] == pytest.approx(jr.spearman(a.values, b.values), abs=1e-15)
+    np.testing.assert_array_equal(table.pearson, table.pearson.T)
+    np.testing.assert_array_equal(np.diag(table.spearman), 1.0)
+    # numpy's own formula as an independent reference.
+    values = np.array([v.values for v in sweep_family])
+    np.testing.assert_allclose(table.pearson, np.corrcoef(values), rtol=0, atol=1e-13)
 
 
 class TestTopK:
@@ -185,3 +248,27 @@ class TestTopK:
         top0 = {ident for ident, _ in jr.top_k(journals, ai0, 10)}
         top1 = {ident for ident, _ in jr.top_k(journals, ai1, 10)}
         assert len(top0 & top1) == 9
+
+    def test_k_must_be_an_integer(self, two_field):
+        journals, matrix = two_field
+        vector = jr.impact_factor(journals, matrix)
+        for k in (True, np.True_, 2.0, "2", None):
+            with pytest.raises(TypeError, match="k must be an integer"):
+                jr.top_k(journals, vector, k)
+        assert jr.top_k(journals, vector, np.int64(2)) == jr.top_k(journals, vector, 2)
+
+    def test_matches_sorted_ranking_with_ties_and_awkward_ids(self):
+        rng = np.random.default_rng(11)
+        ids = [f"J{i}" for i in rng.permutation(1400)]
+        # Prefixes, a trailing NUL, non-ASCII and duplicated ids.
+        ids += ["J1", "J10", "J1\x00", "J1\x00\x00", "J", "é", "Ω", "ǅ", "😀", "e\u0301", ""]
+        ids += [ids[k] for k in rng.integers(0, len(ids), 1500 - len(ids))]
+        journals = jr.JournalSet([jr.Journal(i) for i in ids])
+        # Few distinct values: most journals share their score with others.
+        vector = jr.IndicatorVector("IF", rng.integers(0, 12, len(ids)) / 7.0)
+        values = vector.values
+        order = sorted(range(len(ids)), key=lambda i: (-values[i], ids[i]))
+        expected = [(ids[i], float(values[i])) for i in order]
+        assert jr.top_k(journals, vector, len(ids)) == expected
+        for k in range(len(ids) + 1):
+            assert jr.top_k(journals, vector, k) == expected[:k]
