@@ -11,6 +11,7 @@ sensitivity, correlations, and rankings.
 from .analysis import CorrelationMatrix, average_ranks, correlation_table, pearson, spearman, top_k
 from .core import (
     CitationMatrix,
+    FieldPartition,
     Journal,
     JournalSet,
     StructureReport,
@@ -50,7 +51,6 @@ from .indicators import (
 )
 from .properties import (
     FieldInsensitivityReport,
-    FieldPartition,
     LeaveOneOutReport,
     ProportionalityReport,
     af_endpoint_check,

@@ -36,10 +36,10 @@ def _correlations(rows: np.ndarray) -> np.ndarray:
     Each row is divided by its largest magnitude, which leaves its
     correlations unchanged but keeps the squares and products in range for
     values near the overflow or underflow threshold. The centred rows d give
-    one Gram product G = d @ d.T and the grid G_ij / sqrt(G_ii G_jj); its
-    upper triangle is mirrored and its diagonal set to 1, so the grid is
-    exactly symmetric whatever order the product summed in. Raises
-    DegenerateInput for a constant row.
+    one Gram product G = d @ d.T and the grid G_ij / sqrt(G_ii G_jj),
+    clipped to [-1, 1] against rounding; its upper triangle is mirrored and
+    its diagonal set to 1, so the grid is exactly symmetric whatever order
+    the product summed in. Raises DegenerateInput for a constant row.
     """
     peak = np.abs(rows).max(axis=1, keepdims=True)
     peak[peak == 0.0] = 1.0  # an all-zero row stays zero and is caught below
@@ -50,6 +50,7 @@ def _correlations(rows: np.ndarray) -> np.ndarray:
     if np.any(square == 0.0):
         raise DegenerateInput("zero variance input")
     grid = gram / np.sqrt(np.outer(square, square))
+    np.clip(grid, -1.0, 1.0, out=grid)
     upper = np.triu_indices(len(grid), 1)
     grid.T[upper] = grid[upper]
     np.fill_diagonal(grid, 1.0)

@@ -1,4 +1,5 @@
-"""Journal/citation data model, validation, and citation-graph structure.
+"""The data model (journals, citation matrix, two-field split), its
+validation and shared input checks, and citation-graph structure.
 
 The citation matrix follows the row = citing, column = cited convention:
 ``counts[i, j]`` is the number of citations from articles in journal ``i``
@@ -170,6 +171,37 @@ def _nonzeros(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
+class FieldPartition:
+    """Assignment of every journal to field 1 or field 2."""
+
+    field_of: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "field_of", tuple(int(f) for f in self.field_of))
+        if any(f not in (1, 2) for f in self.field_of):
+            raise ValueError("fields must be labelled 1 or 2")
+        if not self.j1.size or not self.j2.size:
+            raise ValueError("both fields must be non-empty")
+
+    @property
+    def n(self) -> int:
+        return len(self.field_of)
+
+    @property
+    def j1(self) -> np.ndarray:
+        return np.flatnonzero(np.array(self.field_of) == 1)
+
+    @property
+    def j2(self) -> np.ndarray:
+        return np.flatnonzero(np.array(self.field_of) == 2)
+
+    def is_balanced(self, journals: JournalSet) -> bool:
+        """True when both fields published the same number of earlier-period articles."""
+        a1 = journals.articles_t1
+        return float(a1[self.j1].sum()) == float(a1[self.j2].sum())
+
+
+@dataclass(frozen=True)
 class StructureReport:
     """Connectivity facts about the citation graph's non-zero pattern."""
 
@@ -279,6 +311,22 @@ def _pattern_irreducible(pattern: np.ndarray) -> bool:
     if n <= 1:
         return bool(n and pattern[0, 0])
     return _reaches_all(pattern) and _reaches_all(pattern.T)
+
+
+def require_same_size(journals: JournalSet, matrix: CitationMatrix) -> None:
+    """Raise ValueError, with ``validate``'s text, for a size mismatch."""
+    mismatch = size_mismatch(journals, matrix)
+    if mismatch:
+        raise ValueError(mismatch)
+
+
+def require_nonzero(values: np.ndarray, journals: JournalSet, error) -> np.ndarray:
+    """Return values, or raise error for the first journal whose value is 0."""
+    zero = np.flatnonzero(values == 0)
+    if zero.size:
+        i = int(zero[0])
+        raise error(i, journals.journals[i].id)
+    return values
 
 
 def require_irreducible(matrix: CitationMatrix) -> None:

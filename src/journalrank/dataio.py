@@ -44,9 +44,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CitationMatrix, Journal, JournalSet
+from .core import CitationMatrix, FieldPartition, Journal, JournalSet
 from .errors import Issue, ValidationError, quote
-from .properties import FieldPartition
 
 JOURNALS_HEADER = ["id", "name", "articles_t1", "articles_t2"]
 MATRIX_CORNER = "citing\\cited"

@@ -82,22 +82,6 @@ class IndicatorVector:
         return f"{self.kind}({shown})" if shown else self.kind
 
 
-def _same_size(journals: core.JournalSet, matrix: core.CitationMatrix) -> None:
-    """Raise ValueError, with ``core.validate``'s text, for a size mismatch."""
-    mismatch = core.size_mismatch(journals, matrix)
-    if mismatch:
-        raise ValueError(mismatch)
-
-
-def _nonzero(values: np.ndarray, journals: core.JournalSet, error) -> np.ndarray:
-    """Return values, or raise error for the first journal whose value is 0."""
-    zero = np.flatnonzero(values == 0)
-    if zero.size:
-        i = int(zero[0])
-        raise error(i, journals.journals[i].id)
-    return values
-
-
 def _article_share(journals: core.JournalSet) -> np.ndarray:
     a1 = journals.articles_t1
     total = a1.sum()
@@ -108,8 +92,8 @@ def _article_share(journals: core.JournalSet) -> np.ndarray:
 
 def impact_factor(journals: core.JournalSet, matrix: core.CitationMatrix) -> IndicatorVector:
     """Received citations per earlier-period article."""
-    _same_size(journals, matrix)
-    a1 = _nonzero(journals.articles_t1, journals, ZeroArticles)
+    core.require_same_size(journals, matrix)
+    a1 = core.require_nonzero(journals.articles_t1, journals, ZeroArticles)
     received = matrix.counts.sum(axis=0)
     return IndicatorVector("IF", received / a1)
 
@@ -123,10 +107,10 @@ def audience_factor(journals: core.JournalSet, matrix: core.CitationMatrix) -> I
     with S the row-normalized counts, are the scaled alpha = 0 flow of the
     a2 teleport, taken from EF's product ``spectral.share_step``.
     """
-    _same_size(journals, matrix)
-    a1 = _nonzero(journals.articles_t1, journals, ZeroArticles)
-    a2 = _nonzero(journals.articles_t2, journals, ZeroArticlesT2)
-    sums = _nonzero(matrix.row_sums, journals, ZeroOutgoing)
+    core.require_same_size(journals, matrix)
+    a1 = core.require_nonzero(journals.articles_t1, journals, ZeroArticles)
+    a2 = core.require_nonzero(journals.articles_t2, journals, ZeroArticlesT2)
+    sums = core.require_nonzero(matrix.row_sums, journals, ZeroOutgoing)
     overall_rate = sums.sum() / a2.sum()
     return IndicatorVector("AF", overall_rate * spectral.share_step(matrix)(a2) / a1)
 
@@ -143,8 +127,8 @@ def influence_weights(
     sum_i w[i] * s[i] equals sum_i s[i]. w is the undamped (alpha = 1)
     stationary vector of the row-normalized counts divided by the row sums.
     """
-    _same_size(journals, matrix)
-    sums = _nonzero(matrix.row_sums, journals, ZeroOutgoing)
+    core.require_same_size(journals, matrix)
+    sums = core.require_nonzero(matrix.row_sums, journals, ZeroOutgoing)
     uniform = np.full(matrix.n, 1.0 / matrix.n)
     q, report = spectral.stationary(matrix, 1.0, uniform, solver)
     direction = q / sums
@@ -165,7 +149,7 @@ def influence_per_publication(
     move when an insignificant journal enters or leaves the set; multiply by
     the journal count to recover the classic per-reference-mean scale.
     """
-    a1 = _nonzero(journals.articles_t1, journals, ZeroArticles)
+    a1 = core.require_nonzero(journals.articles_t1, journals, ZeroArticles)
     iw = influence_weights(journals, matrix, solver)
     values = iw.values * matrix.row_sums / (journals.n * a1)
     return IndicatorVector("IPP", values, solver=iw.solver)
@@ -185,8 +169,8 @@ def eigenfactor(
     under p, p @ S through the solver's own product ``spectral.share_step``.
     alpha = 1 requires an irreducible matrix.
     """
-    _same_size(journals, matrix)
-    _nonzero(matrix.row_sums, journals, ZeroOutgoing)
+    core.require_same_size(journals, matrix)
+    core.require_nonzero(matrix.row_sums, journals, ZeroOutgoing)
     teleport = _article_share(journals)
     p, report = spectral.stationary(matrix, alpha, teleport, solver)
     scores = 100.0 * spectral.share_step(matrix)(p)
@@ -202,7 +186,7 @@ def article_influence(
     """Damped stationary score per article: the 0-to-1 damping sweep of this
     indicator interpolates between audience-factor-like and recursive
     influence-like behavior."""
-    a1 = _nonzero(journals.articles_t1, journals, ZeroArticles)
+    a1 = core.require_nonzero(journals.articles_t1, journals, ZeroArticles)
     ef = eigenfactor(journals, matrix, alpha, solver)
     return IndicatorVector("AI", ef.values / (100.0 * a1), {"alpha": alpha}, ef.solver)
 
@@ -224,8 +208,8 @@ def weighted_pagerank(
     # Written so that a NaN beta or gamma fails the check too.
     if not (beta >= 0 and gamma >= 0 and beta + gamma <= 1 + 1e-12):
         raise ValueError("need beta >= 0, gamma >= 0 and beta + gamma <= 1")
-    _same_size(journals, matrix)
-    _nonzero(matrix.row_sums, journals, ZeroOutgoing)
+    core.require_same_size(journals, matrix)
+    core.require_nonzero(matrix.row_sums, journals, ZeroOutgoing)
     n = journals.n
     if beta == 1.0:
         teleport = np.full(n, 1.0 / n)
@@ -248,7 +232,7 @@ def scimago_jr(
     solver: spectral.SolverConfig | None = None,
 ) -> IndicatorVector:
     """Weighted-PageRank score divided by the earlier-period article count."""
-    a1 = _nonzero(journals.articles_t1, journals, ZeroArticles)
+    a1 = core.require_nonzero(journals.articles_t1, journals, ZeroArticles)
     wpr = weighted_pagerank(journals, matrix, beta, gamma, solver)
     return IndicatorVector("SJR", wpr.values / a1, {"beta": beta, "gamma": gamma}, wpr.solver)
 

@@ -12,7 +12,8 @@ hold together:
 The audience factor has the first property (when later-period article
 counts are proportional to earlier-period ones) and the recursive
 per-article influence has the second; the damping parameter of the
-stationary family trades one off against the other.
+stationary family trades one off against the other. The field split,
+``FieldPartition``, is part of the data model in ``core``.
 """
 
 from __future__ import annotations
@@ -22,41 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, indicators, spectral
-from .errors import NotIrreducible, PreconditionViolated, ZeroOutgoing, _ZeroCount, quote
+from .core import FieldPartition
+from .errors import NotIrreducible, PreconditionViolated, ZeroArticles, ZeroArticlesT2, ZeroOutgoing, quote
 
 _BOUND_SLACK = 1e-12
 _ETA_TOLERANCE = 1e-12
-
-
-@dataclass(frozen=True)
-class FieldPartition:
-    """Assignment of every journal to field 1 or field 2."""
-
-    field_of: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "field_of", tuple(int(f) for f in self.field_of))
-        if any(f not in (1, 2) for f in self.field_of):
-            raise ValueError("fields must be labelled 1 or 2")
-        if not self.j1.size or not self.j2.size:
-            raise ValueError("both fields must be non-empty")
-
-    @property
-    def n(self) -> int:
-        return len(self.field_of)
-
-    @property
-    def j1(self) -> np.ndarray:
-        return np.flatnonzero(np.array(self.field_of) == 1)
-
-    @property
-    def j2(self) -> np.ndarray:
-        return np.flatnonzero(np.array(self.field_of) == 2)
-
-    def is_balanced(self, journals: core.JournalSet) -> bool:
-        """True when both fields published the same number of earlier-period articles."""
-        a1 = journals.articles_t1
-        return float(a1[self.j1].sum()) == float(a1[self.j2].sum())
 
 
 @dataclass(frozen=True)
@@ -145,10 +116,10 @@ def field_insensitivity_check(
     Uses the tight delta from ``min_delta``. The bound predicates carry a
     small floating-point slack so exact-equality cases count as holding.
     """
-    indicators._same_size(journals, matrix)
+    core.require_same_size(journals, matrix)
     if indicator.n != journals.n:
         raise ValueError("indicator length must match the journal set")
-    indicators._nonzero(matrix.row_sums, journals, ZeroOutgoing)
+    core.require_nonzero(matrix.row_sums, journals, ZeroOutgoing)
     delta = min_delta(matrix, partition)
     a1 = journals.articles_t1
     values = indicator.values
@@ -158,10 +129,7 @@ def field_insensitivity_check(
     lower = (1.0 - delta) * overall
     upper = (1.0 + delta) * overall
     slack = _BOUND_SLACK * max(1.0, abs(overall))
-    holds = tuple(
-        bool(lower - slack <= mean <= upper + slack) for mean in (mean1, mean2)
-    )
-
+    holds = tuple(bool(lower - slack <= mean <= upper + slack) for mean in (mean1, mean2))
     return FieldInsensitivityReport(
         delta=delta,
         field_means=(mean1, mean2),
@@ -245,7 +213,7 @@ def _drop_report(
     reduced_journals, reduced_matrix = core.drop_journal(journals, matrix, dropped)
     try:
         after = indicators.compute(kind, reduced_journals, reduced_matrix, **params).values
-    except (_ZeroCount, NotIrreducible) as err:
+    except (ZeroArticles, ZeroArticlesT2, ZeroOutgoing, NotIrreducible) as err:
         # The same error, naming journals by their indices in the full instance.
         full = np.delete(np.arange(journals.n), dropped).tolist()
         if isinstance(err, NotIrreducible):

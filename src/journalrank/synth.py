@@ -6,9 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CitationMatrix, Journal, JournalSet
+from .core import CitationMatrix, FieldPartition, Journal, JournalSet
 from .errors import GenerationFailed
-from .properties import FieldPartition
 
 # Reference scores for the bundled two-field example (first coverage
 # scenario), used by the demo command and golden-file tests.

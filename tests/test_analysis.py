@@ -184,6 +184,23 @@ class TestCorrelationTable:
         np.testing.assert_allclose(table.pearson, expected.pearson, rtol=0, atol=1e-15)
         np.testing.assert_allclose(table.spearman, expected.spearman, rtol=0, atol=1e-15)
 
+    def test_perfect_correlations_stay_within_one(self, two_field):
+        # On the two-field example IF, IW, WPR(0.9, 0.05) and SJR correlate
+        # perfectly; unclipped, rounding puts some Pearson entries at 1 + 2^-52.
+        journals, matrix = two_field
+        vecs = [
+            jr.impact_factor(journals, matrix),
+            jr.influence_weights(journals, matrix),
+            jr.weighted_pagerank(journals, matrix, 0.9, 0.05),
+            jr.scimago_jr(journals, matrix),
+        ]
+        table = jr.correlation_table(vecs)
+        for grid in (table.pearson, table.spearman):
+            assert np.all((-1.0 <= grid) & (grid <= 1.0))
+        for a in vecs:
+            for b in vecs:
+                assert -1.0 <= jr.pearson(a.values, b.values) <= 1.0
+
 
 @pytest.fixture(scope="module")
 def sweep_family():
@@ -237,6 +254,11 @@ class TestTopK:
         assert jr.top_k(journals, vector, 0) == []
         with pytest.raises(ValueError):
             jr.top_k(journals, vector, 9)
+
+    def test_indicator_of_another_length_rejected(self, two_field):
+        journals, _ = two_field
+        with pytest.raises(ValueError, match="^indicator length must match the journal set$"):
+            jr.top_k(journals, jr.IndicatorVector("IF", np.ones(7)), 3)
 
     def test_ranking_overlap_shrinks_across_the_damping_sweep(self):
         # Desk-scale version of the top-list comparison: on a seeded

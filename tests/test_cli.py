@@ -525,6 +525,21 @@ class TestCorrelate:
             assert (code, out) == (1, "")
             assert json.loads(err) == {"error": "ValueError", "message": "unknown indicator kind 'nope'"}
 
+    def test_non_numeric_parameter_is_a_bad_token(self, capsys, dataset):
+        code, out, err = run(capsys, "correlate", *base_args(dataset), "--indicators", "ai:x,if")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "ValueError", "message": "bad indicator token 'ai:x'"}
+
+    def test_all_kinds_grid_lies_within_one(self, capsys, dataset):
+        tokens = "if,af,iw,ipp,ef,ai,wpr:0.9:0.05,sjr"
+        code, out, _ = run(capsys, "correlate", *base_args(dataset), "--indicators", tokens, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        for name in ("pearson", "spearman"):
+            grid = np.array(payload[name])
+            assert grid.shape == (8, 8)
+            assert np.all((-1.0 <= grid) & (grid <= 1.0)), name
+
 
 class TestSensitivity:
     def test_drop_matches_reference_scenario(self, capsys, dataset):

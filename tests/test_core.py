@@ -281,6 +281,11 @@ class TestDropJournal:
         with pytest.raises(IndexOutOfRange):
             jr.drop_journal(journals, matrix, 8)
 
+    def test_only_journal_cannot_be_dropped(self):
+        journals = journals_of(("a", 1, 1))
+        with pytest.raises(ValueError, match="^cannot drop the only journal$"):
+            jr.drop_journal(journals, jr.CitationMatrix(np.array([[3.0]])), 0)
+
     @pytest.mark.parametrize(
         "index, shown", [(1.5, "float '1.5'"), (True, "bool 'True'"), (np.True_, "bool 'True'"), ("3", "str '3'")]
     )
@@ -311,6 +316,13 @@ class TestInvariants:
         _, matrix = two_field
         with pytest.raises(ValueError):
             matrix.counts[0, 0] = 1.0
+
+    def test_array_copy_is_writable(self, two_field):
+        _, matrix = two_field
+        copy = np.array(matrix, copy=True)
+        copy[0, 0] = -1.0
+        assert copy.flags.writeable
+        assert matrix.counts[0, 0] == 1000.0
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):

@@ -115,6 +115,20 @@ class TestJournalsFile:
         with pytest.raises(ValidationError):
             dataio.read_journals(tmp_path / "j.csv")
 
+    @pytest.mark.parametrize(
+        "body, code, message",
+        [
+            ("J1,,5,5\nJ2,,5\n", "BadRow", "journals row has 3 fields, expected 4"),
+            ("", "EmptyFile", "journals file lists no journals"),
+        ],
+    )
+    def test_bad_rows_and_empty_file(self, tmp_path, body, code, message):
+        (tmp_path / "j.csv").write_text("id,name,articles_t1,articles_t2\n" + body)
+        with pytest.raises(ValidationError) as err:
+            dataio.read_journals(tmp_path / "j.csv")
+        (issue,) = err.value.issues
+        assert (issue.code, issue.message) == (code, message)
+
 
 class TestPartitionFile:
     def test_roundtrip_and_validation(self, tmp_path, two_field):
@@ -179,6 +193,21 @@ class TestPartitionFile:
         (tmp_path / "p.csv").write_text("\n".join(rows) + "\n")
         with pytest.raises(ValidationError):
             dataio.read_partition(tmp_path / "p.csv", journals)
+
+    @pytest.mark.parametrize(
+        "text, code, message",
+        [
+            ("journal,field\nJ1,1\n", "BadHeader", "partition file must start with 'id,field'"),
+            ("id,field\nJ1,1,2\n", "BadRow", "partition row has 3 fields, expected 2"),
+        ],
+    )
+    def test_bad_header_and_bad_row(self, tmp_path, two_field, text, code, message):
+        journals, _ = two_field
+        (tmp_path / "p.csv").write_text(text)
+        with pytest.raises(ValidationError) as err:
+            dataio.read_partition(tmp_path / "p.csv", journals)
+        (issue,) = err.value.issues
+        assert (issue.code, issue.message) == (code, message)
 
 
 def write_rows(path, rows):

@@ -193,6 +193,13 @@ class TestEigenfactor:
         with pytest.raises(ValueError):
             jr.eigenfactor(*two_field, alpha=1.5)
 
+    def test_no_earlier_period_articles_anywhere(self, two_field):
+        journals, matrix = two_field
+        journals = jr.JournalSet(tuple(jr.Journal(j.id, None, 0, j.articles_t2) for j in journals.journals))
+        with pytest.raises(ZeroArticles) as err:
+            jr.eigenfactor(journals, matrix)
+        assert str(err.value) == "journal 'J1' (index 0) published no articles in the earlier period"
+
 
 class TestArticleInfluence:
     def test_matches_audience_factor_at_zero_damping(self, two_field):
@@ -441,6 +448,10 @@ class TestIndicatorVector:
     def test_ef_sum_contract(self):
         with pytest.raises(ValueError):
             IndicatorVector("EF", np.array([10.0, 10.0]))
+
+    def test_rejects_a_matrix_of_values(self):
+        with pytest.raises(ValueError, match="^indicator values must be a vector$"):
+            IndicatorVector("IF", np.ones((2, 2)))
 
     def test_labels(self, two_field):
         journals, matrix = two_field

@@ -69,6 +69,11 @@ class TestMinDelta:
         with pytest.raises(ZeroOutgoing):
             jr.min_delta(matrix, jr.FieldPartition((1, 2)))
 
+    def test_partition_of_another_length_rejected(self, two_field):
+        _, matrix = two_field
+        with pytest.raises(ValueError, match="^partition length must match the matrix$"):
+            jr.min_delta(matrix, jr.FieldPartition((1, 1, 2)))
+
     def test_zeroing_cross_field_entries_never_increases_delta(self):
         for seed in range(5):
             journals, matrix, partition = make_block(seed, m=3)
@@ -139,6 +144,27 @@ class TestFieldInsensitivityCheck:
             journals, matrix, jr.FieldPartition((1, 2)), jr.impact_factor(journals, matrix)
         )
         assert report.eta is None
+
+    def test_eta_absent_when_a_journal_has_no_earlier_articles(self, two_field):
+        journals, matrix = two_field
+        journals = JournalSet((Journal("J1", None, 0, 100),) + journals.journals[1:])
+        iw = jr.influence_weights(journals, matrix)
+        report = jr.field_insensitivity_check(journals, matrix, jr.two_field_partition(), iw)
+        assert report.eta is None
+
+    def test_indicator_of_another_length_rejected(self, two_field):
+        journals, matrix = two_field
+        with pytest.raises(ValueError, match="^indicator length must match the journal set$"):
+            jr.field_insensitivity_check(journals, matrix, jr.two_field_partition(), jr.IndicatorVector("IF", np.ones(7)))
+
+    def test_field_without_earlier_articles_rejected(self, two_field):
+        journals, matrix = two_field
+        journals = JournalSet(
+            tuple(Journal(j.id, None, 0 if k < 4 else 100, 100) for k, j in enumerate(journals.journals))
+        )
+        iw = jr.influence_weights(journals, matrix)
+        with pytest.raises(PreconditionViolated, match="^weighted mean needs positive article counts$"):
+            jr.field_insensitivity_check(journals, matrix, jr.two_field_partition(), iw)
 
     def test_both_checks_share_one_proportionality_rule(self):
         # Ratios 0.5 and 0.5 + 8e-13 spread by more than 1e-12 times the
@@ -343,6 +369,18 @@ class TestEndpointChecks:
         )
         with pytest.raises(PreconditionViolated):
             jr.af_endpoint_check(tweaked, matrix)
+
+    def test_audience_endpoint_requires_earlier_articles(self, two_field):
+        journals, matrix = two_field
+        tweaked = JournalSet((Journal("J1", None, 0, 100),) + journals.journals[1:])
+        with pytest.raises(PreconditionViolated, match="^all journals need earlier-period articles$"):
+            jr.af_endpoint_check(tweaked, matrix)
+
+    def test_audience_endpoint_requires_every_journal_cited(self):
+        journals = JournalSet(tuple(Journal(i, None, 10, 10) for i in "abc"))
+        matrix = CitationMatrix(np.array([[4.0, 1.0, 0.0], [2.0, 3.0, 0.0], [1.0, 1.0, 0.0]]))
+        with pytest.raises(PreconditionViolated, match="^proportionality needs strictly positive scores$"):
+            jr.af_endpoint_check(journals, matrix)
 
     def test_influence_endpoint_on_fixture_and_counterexample(self, two_field, near_decomposable):
         journals, matrix = two_field
