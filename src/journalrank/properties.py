@@ -28,6 +28,8 @@ from .errors import NotIrreducible, PreconditionViolated, ZeroArticles, ZeroArti
 
 _BOUND_SLACK = 1e-12
 _ETA_TOLERANCE = 1e-12
+# An endpoint check passes when its ratios spread by less than this.
+_ENDPOINT_SPREAD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -240,20 +242,19 @@ def _drop_report(
     )
 
 
-def _ratio_report(numerator: np.ndarray, denominator: np.ndarray, threshold: float) -> ProportionalityReport:
+def _ratio_report(numerator: np.ndarray, denominator: np.ndarray) -> ProportionalityReport:
     if np.any(denominator <= 0):
         raise PreconditionViolated("proportionality needs strictly positive scores")
     ratios = numerator / denominator
     low, high = float(ratios.min()), float(ratios.max())
     spread = high / low - 1.0
-    return ProportionalityReport(low, high, spread, spread < threshold)
+    return ProportionalityReport(low, high, spread, spread < _ENDPOINT_SPREAD)
 
 
 def af_endpoint_check(
     journals: core.JournalSet,
     matrix: core.CitationMatrix,
     solver: spectral.SolverConfig | None = None,
-    threshold: float = 1e-9,
 ) -> ProportionalityReport:
     """Verify the audience factor matches the undamped per-article stationary score
     up to one constant.
@@ -269,17 +270,16 @@ def af_endpoint_check(
         )
     af = indicators.audience_factor(journals, matrix)
     ai0 = indicators.article_influence(journals, matrix, alpha=0.0, solver=solver)
-    return _ratio_report(af.values, ai0.values, threshold)
+    return _ratio_report(af.values, ai0.values)
 
 
 def ipp_endpoint_check(
     journals: core.JournalSet,
     matrix: core.CitationMatrix,
     solver: spectral.SolverConfig | None = None,
-    threshold: float = 1e-9,
 ) -> ProportionalityReport:
     """Verify the per-article influence matches the fully damped per-article
     stationary score up to one constant. Requires an irreducible matrix."""
     ipp = indicators.influence_per_publication(journals, matrix, solver)
     ai1 = indicators.article_influence(journals, matrix, alpha=1.0, solver=solver)
-    return _ratio_report(ipp.values, ai1.values, threshold)
+    return _ratio_report(ipp.values, ai1.values)

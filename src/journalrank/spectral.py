@@ -13,14 +13,18 @@ elimination solves one nonsingular system at every damping, alpha = 1
 included: x (I - alpha S + 1 t^T) = (2 - alpha) t, whose solution sums
 to 1. The power path extrapolates: when its last two steps show one real
 error mode, such as the slow field split of a nearly decomposable matrix,
-it jumps to that mode's limit (vector Aitken extrapolation) and measures
-the contraction afresh before it may stop. At alpha = 1 it takes plain
-steps x <- xS and, when they have not settled within a fixed budget (a
-periodic or nearly periodic chain), half-lazy steps x <- (x + xS)/2, which
-converge on every irreducible chain. An alpha = 1 solve checks
-irreducibility with ``core.require_irreducible``; the strongly connected
-components are computed only to describe a failure. Solved vectors are not
-cached: every call solves.
+it jumps to that mode's limit (vector Aitken extrapolation). It has one
+stop rule: the step and the step times rho / (1 - rho) are both at most the
+tolerance, where rho is the measured contraction rate, 1 until a rate is
+measured, and capped at alpha. For alpha < 1 the map contracts L1
+distances by alpha, so a stop under the cap bounds the error by the
+tolerance. At alpha = 1 it takes plain steps x <- xS and, when they have
+not settled within a fixed budget (a periodic or nearly periodic chain),
+half-lazy steps x <- (x + xS)/2, which converge on every irreducible
+chain. An alpha = 1 solve checks irreducibility with
+``core.require_irreducible``; the strongly connected components are
+computed only to describe a failure. Solved vectors are not cached: every
+call solves.
 """
 
 from __future__ import annotations
@@ -60,13 +64,16 @@ METHODS = ("auto", "direct", "power")
 SPARSE_DENSITY = 0.05
 
 # Power iteration stops once the extrapolated error (step size times
-# rho/(1-rho) for contraction estimate rho) drops below the tolerance, not
-# merely the step size itself: on slowly mixing chains the raw step
-# understates the remaining error by 1/(1-rho). rho is the ratio of the last
-# two step sizes, floored by the largest rate jumped over (below), and a step
-# whose rate was not measured since the last jump never stops.
-_PLATEAU_RATIO = 0.9999
-_PLATEAU_PATIENCE = 50
+# rho/(1-rho) for contraction estimate rho) drops below the tolerance, and the
+# step itself does too: on slowly mixing chains the raw step understates the
+# remaining error by 1/(1-rho). rho is the ratio of the last two step sizes,
+# floored by the largest rate jumped over (below); it is 1 while no rate has
+# been measured (the first step, and the first after a jump or after the
+# switch to half-lazy steps), and it is capped at alpha. For alpha < 1 the map
+# shrinks L1 distances on the simplex by alpha, so whenever the cap binds the
+# stop is a proof: the returned vector lies within alpha * step / (1 - alpha)
+# <= tolerance of the fixed point in L1.
+
 # Vector Aitken extrapolation (Kamvar, Haveliwala, Manning & Golub, WWW 2003):
 # at every step size, lam = <d, d'> / <d', d'> is fitted to the last two step
 # differences d', d; when d - lam d' is within _JUMP_FIT of d in L1 (one real
@@ -187,7 +194,6 @@ def _power(matrix: core.CitationMatrix, alpha: float, teleport: np.ndarray, conf
     lazy = False
     tol = config.tolerance
     prev_delta = np.inf
-    plateau = 0
     delta = np.inf
     prev_diff = None  # the last step's difference, None right after a jump
     prev_square = 0.0  # prev_diff @ prev_diff, kept for the next fit
@@ -199,7 +205,7 @@ def _power(matrix: core.CitationMatrix, alpha: float, teleport: np.ndarray, conf
             # converge on any irreducible chain. Rates measured so far
             # belong to the other map; the floor from past jumps stays.
             lazy = True
-            prev_diff, prev_delta, plateau = None, np.inf, 0
+            prev_diff, prev_delta = None, np.inf
         x_next = step(x)
         if lazy:
             x_next *= 0.5
@@ -222,27 +228,14 @@ def _power(matrix: core.CitationMatrix, alpha: float, teleport: np.ndarray, conf
                 x = np.maximum(x + diff * (lam / (1.0 - lam)), 0.0)
                 x /= x.sum()
                 jumped = max(jumped, lam)
-                prev_diff, prev_delta, plateau = None, np.inf, 0
+                prev_diff, prev_delta = None, np.inf
                 continue
         prev_diff = diff
         prev_square = float(diff @ diff)
-        if delta <= tol:
-            if np.isfinite(prev_delta):
-                rho = max(delta / prev_delta, jumped)
-            else:
-                # First step: no rate to measure. After a jump: not yet measured.
-                rho = 1.0 if jumped else 0.0
-            if rho < 1.0 and delta * rho / (1.0 - rho) <= tol:
-                return x, SolverReport(iteration, delta, "power")
-            if delta >= prev_delta * _PLATEAU_RATIO:
-                # Step size stopped shrinking: rounding floor reached.
-                plateau += 1
-                if plateau >= _PLATEAU_PATIENCE:
-                    return x, SolverReport(iteration, delta, "power")
-            else:
-                plateau = 0
-        else:
-            plateau = 0
+        # The one stop rule, stated above the jump constants.
+        rho = min(max(delta / prev_delta, jumped) if np.isfinite(prev_delta) else 1.0, alpha)
+        if delta <= tol and rho < 1.0 and delta * rho / (1.0 - rho) <= tol:
+            return x, SolverReport(iteration, delta, "power")
         prev_delta = delta
     raise NoConvergence(config.max_iterations, delta)
 

@@ -617,3 +617,49 @@ class TestExtrapolation:
         with pytest.raises(NoConvergence) as err:
             stationary(matrix, 1.0, teleports["uniform"], SolverConfig(method="power", max_iterations=20))
         assert err.value.iterations == 20
+
+
+@pytest.fixture(scope="module")
+def table1_without_j8(two_field):
+    _, matrix = jr.drop_journal(*two_field, 7)
+    return matrix, np.full(matrix.n, 1.0 / matrix.n)
+
+
+class TestStopRule:
+    """The power path stops when the step and the step times rho / (1 - rho)
+    are both within the tolerance, with rho capped at alpha: for alpha < 1
+    the map contracts by alpha, so the cap makes the stop a proven bound."""
+
+    @pytest.mark.parametrize("alpha", (0.5, 0.85))
+    def test_stops_once_the_bound_holds(self, table1_without_j8, alpha):
+        # The step falls to its rounding floor, about 1e-16, within 4 steps,
+        # where alpha / (1 - alpha) times it is far below the tolerance.
+        matrix, teleport = table1_without_j8
+        _, gap, report = _power_against_direct(matrix, alpha, teleport, tolerance=1e-12)
+        assert report.iterations <= 10
+        assert gap <= 1e-15
+
+    def test_bound_below_the_rounding_floor_raises(self, table1_without_j8):
+        # The step holds at 2.5e-16, so the bound 0.85 / 0.15 times the step
+        # stays at 1.4e-15, above the tolerance: the solve must raise rather
+        # than report a convergence it did not reach.
+        matrix, teleport = table1_without_j8
+        config = SolverConfig(method="power", tolerance=1e-15, max_iterations=2000)
+        with pytest.raises(NoConvergence) as err:
+            stationary(matrix, 0.85, teleport, config)
+        assert err.value.iterations == 2000
+
+    @pytest.mark.parametrize("teleport", ("uniform", "articles"))
+    @pytest.mark.parametrize("alpha", (0.9999, 0.99999))
+    def test_damping_near_one_stops_on_the_measured_rate(self, alpha, teleport):
+        # The certificate alpha * step / (1 - alpha) <= 1e-12 would need a
+        # step near 1e-17 here, below the rounding floor; the measured rate
+        # stops the solve within 28-29 steps.
+        journals, matrix, _ = jr.block_model(jr.BlockModelSpec(65, within_mean=1, cross_mean=0.01, seed=1))
+        teleports = {
+            "uniform": np.full(matrix.n, 1.0 / matrix.n),
+            "articles": journals.articles_t1 / journals.articles_t1.sum(),
+        }
+        _, gap, report = _power_against_direct(matrix, alpha, teleports[teleport])
+        assert report.iterations <= 40
+        assert gap <= 1e-12
