@@ -78,6 +78,13 @@ class BlockModelSpec:
     within_mean_2: float | None = None
 
     def __post_init__(self):
+        for name in ("journals_per_field", "articles_t1"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
+        means = (self.within_mean, self.cross_mean, self.within_mean_2, self.eta)
+        if not all(np.isfinite(value) for value in means if value is not None):
+            raise ValueError("means and eta must be finite")
         if self.journals_per_field < 1:
             raise ValueError("need at least one journal per field")
         if not self.within_mean > self.cross_mean >= 0:
@@ -91,6 +98,9 @@ class BlockModelSpec:
 
 
 _MAX_ATTEMPTS = 50
+# Rows per Poisson draw in block_model: the draw's int64 block is the only
+# memory it holds beside the counts.
+_BLOCK_ROWS = 128
 
 
 def block_model(spec: BlockModelSpec) -> tuple[JournalSet, CitationMatrix, FieldPartition]:
@@ -100,6 +110,13 @@ def block_model(spec: BlockModelSpec) -> tuple[JournalSet, CitationMatrix, Field
     forced so the fields stay connected. Raises GenerationFailed when no
     attempt within the retry budget produces an irreducible matrix with all
     journals citing.
+
+    Each attempt draws the article counts, then the citation counts cell by
+    cell in row-major order, the order of one ``rng.poisson`` call on the
+    full n x n matrix of means, so an instance and the generator state a
+    retry continues from depend only on the spec. The counts are drawn
+    straight into the float64 matrix a few rows at a time, so an attempt
+    holds the counts plus one block of rows, never an n x n matrix of means.
     """
     rng = np.random.default_rng(spec.seed)
     m = spec.journals_per_field
@@ -107,16 +124,20 @@ def block_model(spec: BlockModelSpec) -> tuple[JournalSet, CitationMatrix, Field
     base = spec.articles_t1
     low = max(1, base // 2)
     high = base + base // 2
+    within_2 = spec.within_mean if spec.within_mean_2 is None else spec.within_mean_2
 
     for _ in range(_MAX_ATTEMPTS):
         field_a1 = rng.integers(low, high + 1, size=m)
         a1 = np.concatenate([field_a1, field_a1])
         a2 = np.rint(spec.eta * a1).astype(int)
 
-        means = np.full((n, n), spec.cross_mean)
-        means[:m, :m] = spec.within_mean
-        means[m:, m:] = spec.within_mean if spec.within_mean_2 is None else spec.within_mean_2
-        counts = rng.poisson(means).astype(float)
+        counts = np.empty((n, n))
+        for start, within in ((0, spec.within_mean), (m, within_2)):
+            mean_row = np.full(n, spec.cross_mean)
+            mean_row[start:start + m] = within
+            for lo in range(start, start + m, _BLOCK_ROWS):
+                hi = min(lo + _BLOCK_ROWS, start + m)
+                counts[lo:hi] = rng.poisson(mean_row, size=(hi - lo, n))
         if spec.cross_mean == 0:
             counts[0, m] = max(counts[0, m], 1.0)
             counts[m, 0] = max(counts[m, 0], 1.0)
@@ -124,9 +145,8 @@ def block_model(spec: BlockModelSpec) -> tuple[JournalSet, CitationMatrix, Field
         # counts is a fresh C-ordered float64 array that nothing else holds,
         # so the matrix takes it over instead of copying it.
         matrix = CitationMatrix._adopt(counts)
-        if np.any(matrix.row_sums == 0):
-            continue
-        if not matrix.irreducible:
+        if np.any(matrix.row_sums == 0) or not matrix.irreducible:
+            del counts, matrix  # freed before the next attempt allocates its own
             continue
         journals = JournalSet(
             tuple(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -107,8 +109,99 @@ class TestBlockModel:
             {"journals_per_field": 2, "articles_t1": 0},
             {"journals_per_field": 2, "eta": 0.0},
             {"journals_per_field": 2, "within_mean_2": 0.5, "cross_mean": 1.0, "within_mean": 2.0},
+            {"journals_per_field": 2.0},
+            {"journals_per_field": True},
+            {"journals_per_field": 2, "articles_t1": 2.5},
+            {"journals_per_field": 2, "articles_t1": True},
+            {"journals_per_field": 2, "within_mean": np.inf},
+            {"journals_per_field": 2, "within_mean_2": np.inf},
+            {"journals_per_field": 2, "cross_mean": np.nan},
+            {"journals_per_field": 2, "eta": np.inf},
         ],
     )
     def test_spec_validation(self, kwargs):
         with pytest.raises(ValueError):
             jr.BlockModelSpec(**kwargs)
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        journals, _, _ = jr.block_model(
+            jr.BlockModelSpec(np.int64(3), articles_t1=np.int32(10), seed=1)
+        )
+        assert journals.n == 6
+
+
+def one_shot_block_model(spec):
+    """block_model's draw as one rng.poisson call on the n x n means, with
+    the same retry loop; returns the attempt that succeeded as well."""
+    rng = np.random.default_rng(spec.seed)
+    m = spec.journals_per_field
+    n = 2 * m
+    low = max(1, spec.articles_t1 // 2)
+    high = spec.articles_t1 + spec.articles_t1 // 2
+    for attempt in range(1, 51):
+        field_a1 = rng.integers(low, high + 1, size=m)
+        a1 = np.concatenate([field_a1, field_a1])
+        a2 = np.rint(spec.eta * a1).astype(int)
+        means = np.full((n, n), spec.cross_mean)
+        means[:m, :m] = spec.within_mean
+        means[m:, m:] = spec.within_mean if spec.within_mean_2 is None else spec.within_mean_2
+        counts = rng.poisson(means).astype(float)
+        if spec.cross_mean == 0:
+            counts[0, m] = max(counts[0, m], 1.0)
+            counts[m, 0] = max(counts[m, 0], 1.0)
+        if np.all(counts.sum(axis=1) > 0) and jr.structure(counts).irreducible:
+            return a1, a2, counts, (1,) * m + (2,) * m, attempt
+    raise AssertionError("the reference draw found no irreducible instance")
+
+
+class TestBlockModelStream:
+    """The row-block draw gives bitwise the one-shot draw's instances."""
+
+    # block_model draws at most 128 rows at a time, within one field.
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            pytest.param(jr.BlockModelSpec(20, 3.0, 0.5, within_mean_2=6.0, seed=1), id="within_mean_2"),
+            pytest.param(jr.BlockModelSpec(10, 30.0, 0.0, seed=1), id="bridge"),
+            pytest.param(jr.BlockModelSpec(5, seed=2), id="below_one_block"),
+            pytest.param(jr.BlockModelSpec(130, 0.5, 0.05, seed=3), id="not_a_block_multiple"),
+            # Rows 128..255 would be one block if blocks crossed fields; the
+            # second field starts at row 200.
+            pytest.param(jr.BlockModelSpec(200, 1.0, 0.1, within_mean_2=4.0, seed=4), id="boundary_in_block"),
+            pytest.param(jr.BlockModelSpec(750, 0.02, 0.002, seed=1), id="damping_sweep_size"),
+            pytest.param(jr.BlockModelSpec(500, 0.4, 0.02, seed=1), id="loo_sweep_size"),
+        ],
+    )
+    def test_same_instance_as_one_shot_draw(self, spec):
+        self.assert_same_instance(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [jr.BlockModelSpec(1, seed=0), jr.BlockModelSpec(130, 0.04, 0.01, seed=0)],
+        ids=["one_journal_per_field", "several_blocks"],
+    )
+    def test_retried_spec_continues_the_same_stream(self, spec):
+        attempt = self.assert_same_instance(spec)
+        assert attempt > 1
+
+    @staticmethod
+    def assert_same_instance(spec):
+        a1, a2, counts, field_of, attempt = one_shot_block_model(spec)
+        journals, matrix, partition = jr.block_model(spec)
+        np.testing.assert_array_equal(journals.articles_t1, a1)
+        np.testing.assert_array_equal(journals.articles_t2, a2)
+        assert matrix.counts.dtype == counts.dtype
+        assert matrix.counts.tobytes() == counts.tobytes()
+        assert partition.field_of == field_of
+        return attempt
+
+    def test_peak_memory_stays_near_the_counts(self):
+        jr.block_model(jr.BlockModelSpec(1))  # loads numpy.random's lazy modules
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            _, matrix, _ = jr.block_model(jr.BlockModelSpec(750, 0.02, 0.002, seed=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 1.25 * matrix.counts.nbytes
