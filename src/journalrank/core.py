@@ -3,7 +3,12 @@ validation and shared input checks, and citation-graph structure.
 
 The citation matrix follows the row = citing, column = cited convention:
 ``counts[i, j]`` is the number of citations from articles in journal ``i``
-(later period) to articles in journal ``j`` (earlier period).
+(later period) to articles in journal ``j`` (earlier period). A matrix
+with fewer than ``SPARSE_DENSITY`` non-zero cells, as a real citation
+database is, stores only its row-major non-zeros and derives its facts
+(row sums, irreducibility, journal drops) from them; the dense counts of
+such a matrix are built only on request, by the failure scans and
+consumers off the solve path.
 """
 
 from __future__ import annotations
@@ -69,60 +74,115 @@ class JournalSet:
             raise KeyError(f"unknown journal id {quote(journal_id)}") from None
 
 
-@dataclass(frozen=True, eq=False)
+# Share of non-zero cells below which a CitationMatrix stores only its
+# non-zeros, and the power path iterates over them instead of the dense
+# matrix. Measured at n = 1000-2000 (one BLAS thread, x86-64): a sparse
+# step costs as much as a dense one at 9-10 % density, and extracting the
+# non-zeros costs 17-26 dense steps. That extraction, paid once per matrix,
+# is repaid after 40-55 steps at 5 % density but only after 60-95 at 7 %,
+# so the lower cut keeps the sparse path ahead on a matrix solved at several
+# dampings. Since the power path extrapolates and takes plain steps at
+# alpha = 1, alpha = 0.85 to 1 takes about 22-31 steps at n = 1500, 1 %, so
+# one lone solve near the cut may not repay the extraction; the cut has not
+# been measured again with these step counts. Below the cut the triplets
+# (24 bytes a non-zero) also take less memory than the dense array (8 bytes
+# a cell) by a factor of at least 6.7.
+SPARSE_DENSITY = 0.05
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class CitationMatrix:
     """Square grid of citing -> cited counts, immutable, with the storage
     facts every solve needs derived once.
 
-    The constructor copies its input into one C-ordered float64 array, so
-    integral counts stay exact and no derived value depends on the caller's
-    memory layout. The counts are read-only, so what depends on them alone
-    is computed once: the row sums, the non-zero count and the first
-    negative cell (row-major, or None) on construction; the raw non-zeros
-    and the irreducibility verdict, which only the sparse product and
-    alpha = 1 need, in full on first use, so concurrent first use is safe.
-    Construction only enforces squareness; content checks live in
-    ``validate`` so that one call reports every violation. How the shares
-    act is ``spectral``'s. ``np.asarray(matrix)`` gives the counts.
+    The constructor copies its input as C-ordered float64, so integral
+    counts stay exact and no derived value depends on the caller's memory
+    layout, and picks the storage once, by the actual non-zero count: below
+    ``SPARSE_DENSITY * n**2`` non-zero cells the matrix keeps only its
+    row-major non-zeros (``sparse`` is True), otherwise the dense array.
+    The counts are read-only, so what depends on them alone is computed
+    once: the row sums, the non-zero count and the first negative cell
+    (row-major, or None) on construction; the irreducibility verdict, the
+    non-zeros of a dense matrix and the dense counts of a sparse one in
+    full on first use, so concurrent first use is safe. Construction only
+    enforces squareness; content checks live in ``validate`` so that one
+    call reports every violation. How the shares act is ``spectral``'s.
+    ``np.asarray(matrix)`` gives the counts.
     """
 
-    counts: np.ndarray
-    row_sums: np.ndarray = field(init=False, repr=False)
-    nonzero_count: int = field(init=False, repr=False)
-    negative_cell: tuple[int, int] | None = field(init=False, repr=False)
+    n: int
+    nonzero_count: int
+    sparse: bool
+    row_sums: np.ndarray = field(repr=False)
+    negative_cell: tuple[int, int] | None = field(repr=False)
 
-    def __post_init__(self):
-        arr = np.array(self.counts, dtype=float, order="C")
+    def __init__(self, counts):
+        arr = np.array(counts, dtype=float, order="C")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"citation matrix must be square, got shape {arr.shape}")
         self._own(arr)
 
     @classmethod
     def _adopt(
-        cls, counts: np.ndarray, *, nonzero_count: int | None = None, no_negative_cell: bool = False
+        cls,
+        counts,
+        *,
+        n: int | None = None,
+        nonzero_count: int | None = None,
+        no_negative_cell: bool = False,
     ) -> CitationMatrix:
-        """Wrap a square C-ordered float64 array that nothing else
-        references, without copying it: ``drop_journal``'s reduced counts,
-        ``synth.block_model``'s draws and ``dataio.read_matrix``'s parsed
-        counts. ``nonzero_count`` (when given) and ``no_negative_cell=True``
-        must equal what a scan of ``counts`` would give; the facts not given
-        are scanned for.
+        """Wrap counts that nothing else references, without copying them:
+        a square C-ordered float64 array or, with ``n``, the row-major
+        (rows, cols, values) non-zeros of an n x n matrix, as
+        ``drop_journal``, ``synth.block_model`` and ``dataio.read_matrix``
+        hand them over. The matrix still picks its storage by the non-zero
+        count. ``nonzero_count`` (when given with an array) and
+        ``no_negative_cell=True`` must equal what a scan of the counts would
+        give; the facts not given are scanned for.
         """
         matrix = cls.__new__(cls)
-        matrix._own(counts, nonzero_count, no_negative_cell)
+        matrix._own(counts, n, nonzero_count, no_negative_cell)
         return matrix
 
-    def _own(self, arr: np.ndarray, nonzero_count: int | None = None, no_negative_cell: bool = False) -> None:
-        arr.flags.writeable = False
-        with np.errstate(over="ignore"):  # an overflowing row is validate's to report
-            sums = arr.sum(axis=1)
+    def _own(
+        self, counts, n: int | None = None, nonzero_count: int | None = None, no_negative_cell: bool = False
+    ) -> None:
+        if n is None:
+            n = counts.shape[0]
+            if nonzero_count is None:
+                nonzero_count = int(np.count_nonzero(counts))
+            if nonzero_count < SPARSE_DENSITY * n * n:
+                counts = _nonzeros(counts)
+        else:
+            nonzero_count = counts[2].size
+            if nonzero_count >= SPARSE_DENSITY * n * n:
+                counts = _densify(n, *counts)
+        sparse = isinstance(counts, tuple)
+        cell = None
+        if sparse:
+            rows, cols, values = counts
+            for array in counts:
+                array.flags.writeable = False
+            # Without non-zeros bincount would return int64 zeros.
+            sums = np.bincount(rows, weights=values, minlength=n).astype(float, copy=False)
+            if not no_negative_cell:
+                negative = np.flatnonzero(values < 0)
+                if negative.size:
+                    cell = (int(rows[negative[0]]), int(cols[negative[0]]))
+            self.__dict__["nonzeros"] = counts
+        else:
+            counts.flags.writeable = False
+            with np.errstate(over="ignore"):  # an overflowing row is validate's to report
+                sums = counts.sum(axis=1)
+            if not no_negative_cell:
+                cell = _negative_cell(counts)
+            self.__dict__["counts"] = counts
         sums.flags.writeable = False
-        if nonzero_count is None:
-            nonzero_count = int(np.count_nonzero(arr))
-        object.__setattr__(self, "counts", arr)
-        object.__setattr__(self, "row_sums", sums)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "nonzero_count", nonzero_count)
-        object.__setattr__(self, "negative_cell", None if no_negative_cell else _negative_cell(arr))
+        object.__setattr__(self, "sparse", sparse)
+        object.__setattr__(self, "row_sums", sums)
+        object.__setattr__(self, "negative_cell", cell)
 
     def __array__(self, dtype=None, copy=None):
         # numpy 1.x passes no copy argument and rejects copy=None itself.
@@ -130,13 +190,18 @@ class CitationMatrix:
             return np.array(self.counts, dtype=dtype)
         return np.asarray(self.counts, dtype=dtype)
 
-    @property
-    def n(self) -> int:
-        return self.counts.shape[0]
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """The read-only n x n counts, C-ordered float64: what a dense
+        matrix stores, and built on request from a sparse one's non-zeros."""
+        dense = _densify(self.n, *self.nonzeros)
+        dense.flags.writeable = False
+        return dense
 
     @cached_property
     def nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (rows, cols, counts) of the non-zero cells, row-major."""
+        """Read-only (rows, cols, counts) of the non-zero cells, row-major:
+        what a sparse matrix stores, and scanned on request from a dense one."""
         return _nonzeros(self.counts)
 
     @cached_property
@@ -146,9 +211,14 @@ class CitationMatrix:
         Same verdict as ``structure(matrix).irreducible`` (a single journal
         counts only when it cites itself, an empty matrix never), from a
         forward and a backward breadth-first sweep out of journal 0 instead
-        of a full SCC pass.
+        of a full SCC pass: over the n x n pattern of a dense matrix, over
+        the positive non-zeros of a sparse one.
         """
-        return _pattern_irreducible(self.counts > 0)
+        if not self.sparse:
+            return _pattern_irreducible(self.counts > 0)
+        rows, cols, values = self.nonzeros
+        positive = values > 0
+        return _links_irreducible(self.n, rows[positive], cols[positive])
 
 
 def _negative_cell(counts: np.ndarray) -> tuple[int, int] | None:
@@ -162,12 +232,19 @@ def _negative_cell(counts: np.ndarray) -> tuple[int, int] | None:
 
 
 def _nonzeros(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    flat = np.flatnonzero(counts)
+    # The boolean mask is scanned several times faster than the float cells.
+    flat = np.flatnonzero(counts != 0)
     rows, cols = np.divmod(flat, counts.shape[0])
     values = counts.ravel()[flat]
     for array in (rows, cols, values):
         array.flags.writeable = False
     return rows, cols, values
+
+
+def _densify(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
+    dense = np.zeros((n, n))
+    dense[rows, cols] = values
+    return dense
 
 
 @dataclass(frozen=True)
@@ -313,6 +390,28 @@ def _pattern_irreducible(pattern: np.ndarray) -> bool:
     return _reaches_all(pattern) and _reaches_all(pattern.T)
 
 
+def _links_reach_all(n: int, sources: np.ndarray, targets: np.ndarray) -> bool:
+    """Whether every node is reachable from node 0 along the links
+    sources[k] -> targets[k]."""
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        reached = np.zeros(n, dtype=bool)
+        reached[targets[frontier[sources]]] = True
+        frontier = reached & ~seen
+        seen |= frontier
+    return bool(seen.all())
+
+
+def _links_irreducible(n: int, rows: np.ndarray, cols: np.ndarray) -> bool:
+    """``_pattern_irreducible`` of the pattern whose cells are (rows, cols),
+    without the n x n pattern."""
+    if n <= 1:
+        return bool(n and rows.size)
+    return _links_reach_all(n, rows, cols) and _links_reach_all(n, cols, rows)
+
+
 def require_same_size(journals: JournalSet, matrix: CitationMatrix) -> None:
     """Raise ValueError, with ``validate``'s text, for a size mismatch."""
     mismatch = size_mismatch(journals, matrix)
@@ -415,13 +514,15 @@ def drop_journal(
 ) -> tuple[JournalSet, CitationMatrix]:
     """Remove one journal: delete its row and column, recompute row sums.
 
-    The original instance is untouched; a fresh pair is returned. The reduced
-    counts are copied once, around row and column ``index``. The reduced
-    matrix is handed the parent's non-zero count less the cells of that row
-    and column, and the absence of negative cells when the parent has none;
-    it derives its non-zeros and irreducibility itself, since a drop can
-    disconnect the citation graph. The result equals ``CitationMatrix`` of
-    the counts without that row and column.
+    The original instance is untouched; a fresh pair is returned. A dense
+    matrix's reduced counts are copied once, around row and column
+    ``index``, and handed the parent's non-zero count less the cells of
+    that row and column; a sparse matrix's non-zeros are filtered and
+    renumbered, never densified. The reduced matrix is handed the absence
+    of negative cells when the parent has none, picks its own storage by
+    its non-zero count and derives its irreducibility itself, since a drop
+    can disconnect the citation graph. The result equals ``CitationMatrix``
+    of the counts without that row and column.
 
     Raises TypeError unless ``index`` is an integer (bool is not one), and
     IndexOutOfRange unless it names a journal.
@@ -437,6 +538,14 @@ def drop_journal(
     if n < 2:
         raise ValueError("cannot drop the only journal")
     k = int(index)
+    kept = journals.journals[:k] + journals.journals[k + 1 :]
+    no_negative_cell = matrix.negative_cell is None
+    if matrix.sparse:
+        rows, cols, values = matrix.nonzeros
+        keep = (rows != k) & (cols != k)
+        rows, cols = rows[keep], cols[keep]
+        reduced = (rows - (rows > k), cols - (cols > k), values[keep])
+        return JournalSet(kept), CitationMatrix._adopt(reduced, n=n - 1, no_negative_cell=no_negative_cell)
     counts = matrix.counts
     reduced = np.empty((n - 1, n - 1))
     reduced[:k, :k] = counts[:k, :k]
@@ -444,8 +553,7 @@ def drop_journal(
     reduced[k:, :k] = counts[k + 1 :, :k]
     reduced[k:, k:] = counts[k + 1 :, k + 1 :]
     lost = np.count_nonzero(counts[k]) + np.count_nonzero(counts[:, k]) - (counts[k, k] != 0)
-    kept = journals.journals[:k] + journals.journals[k + 1 :]
     reduced_matrix = CitationMatrix._adopt(
-        reduced, nonzero_count=matrix.nonzero_count - int(lost), no_negative_cell=matrix.negative_cell is None
+        reduced, nonzero_count=matrix.nonzero_count - int(lost), no_negative_cell=no_negative_cell
     )
     return JournalSet(kept), reduced_matrix

@@ -259,19 +259,28 @@ def _read_matrix_csv(path: str | Path, data: bytes, journals: JournalSet) -> Cit
 
 
 def write_matrix(path: str | Path, journals: JournalSet, matrix: CitationMatrix) -> None:
+    """Write ``matrix.csv`` a row at a time; the rows of a sparse-stored
+    matrix are filled from its non-zeros, so it is never densified."""
     ids = list(journals.ids)
+    if matrix.sparse:
+        rows, cols, values = matrix.nonzeros
+        bounds = np.searchsorted(rows, np.arange(matrix.n + 1))
+        # Each row's cells: its values at its columns, 0.0 elsewhere.
+        grid = (np.bincount(cols[a:b], values[a:b], matrix.n) for a, b in zip(bounds[:-1], bounds[1:]))
+    else:
+        values = matrix.counts
+        grid = iter(values)
+    # Integral counts that fit int64 are cast a row at a time; _format_count
+    # writes such counts as str(int) too, so the bytes are the same.
+    if np.all((np.abs(values) < 2.0**63) & (values == np.floor(values))):
+        lines = (row.astype(np.int64).tolist() for row in grid)
+    else:
+        lines = ([_format_count(v) for v in row] for row in grid)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv_writer(handle, ids)
         writer.writerow([MATRIX_CORNER] + ids)
-        counts = matrix.counts
-        # One cast when every count is integral and fits int64; _format_count
-        # writes such counts as str(int) too, so the bytes are the same.
-        if np.all((np.abs(counts) < 2.0**63) & (counts == np.floor(counts))):
-            rows = (row.tolist() for row in counts.astype(np.int64))
-        else:
-            rows = ([_format_count(v) for v in row] for row in counts)
-        for ident, row in zip(ids, rows):
-            writer.writerow([ident] + row)
+        for ident, line in zip(ids, lines):
+            writer.writerow([ident] + line)
 
 
 def _format_count(value: float) -> str:

@@ -94,7 +94,13 @@ def impact_factor(journals: core.JournalSet, matrix: core.CitationMatrix) -> Ind
     """Received citations per earlier-period article."""
     core.require_same_size(journals, matrix)
     a1 = core.require_nonzero(journals.articles_t1, journals, ZeroArticles)
-    received = matrix.counts.sum(axis=0)
+    if matrix.sparse:
+        # Adds each column's cells in row order, as the dense column sum
+        # does, so both give the same bits.
+        _, cols, values = matrix.nonzeros
+        received = np.bincount(cols, weights=values, minlength=matrix.n)
+    else:
+        received = matrix.counts.sum(axis=0)
     return IndicatorVector("IF", received / a1)
 
 

@@ -1,9 +1,10 @@
 """The citation-share operator and its stationary vectors.
 
 The only module that knows how the share matrix S = diag(1 / row_sums) @
-counts acts. ``share_step(matrix)`` is the product x -> x @ S: the power
-path iterates it and the EF and AF flows apply it. ``reference_shares``
-builds S densely, for the direct path.
+counts acts. ``share_step(matrix)`` is the product x -> x @ S, over the
+stored non-zeros of a sparse-stored matrix and over the dense counts
+otherwise: the power path iterates it and the EF and AF flows apply it.
+``reference_shares`` builds S densely, for the direct path.
 
 Two independent paths solve the same fixed-point problems: dense direct
 elimination (oracle-grade on small instances) and power iteration (scales
@@ -50,18 +51,6 @@ from .errors import NoConvergence, ZeroOutgoing
 DIRECT_LIMIT = 128
 # The values of SolverConfig.method.
 METHODS = ("auto", "direct", "power")
-# Share of non-zero cells below which the power path iterates over the
-# non-zeros instead of the dense matrix. Measured at n = 1000-2000 (one BLAS
-# thread, x86-64): a sparse step costs as much as a dense one at 9-10 %
-# density, and extracting the non-zeros costs 17-26 dense steps. That
-# extraction, paid once per matrix, is repaid after 40-55 steps at 5 %
-# density but only after 60-95 at 7 %, so the lower cut keeps the sparse
-# path ahead on a matrix solved at several dampings. Since the power path
-# extrapolates and takes plain steps at alpha = 1, alpha = 0.85 to 1 takes
-# about 22-31 steps at n = 1500, 1 %, so one lone solve near the cut may not
-# repay the extraction; the cut has not been measured again with these step
-# counts.
-SPARSE_DENSITY = 0.05
 
 # Power iteration stops once the extrapolated error (step size times
 # rho/(1-rho) for contraction estimate rho) drops below the tolerance, and the
@@ -144,16 +133,16 @@ def reference_shares(matrix: core.CitationMatrix) -> np.ndarray:
 def share_step(matrix: core.CitationMatrix):
     """Return the product x -> x @ S with S the row-normalized counts.
 
-    Below SPARSE_DENSITY non-zero cells it sums over the non-zeros alone,
-    each divided by its row sum once per call of ``share_step``; denser
-    inputs use the dense ``(x / row_sums) @ counts``. The non-zeros are
-    row-major, so repeating each x_j (and each row sum) by its row's
-    non-zero count gives the same array as the gather ``x[rows]``, at less
-    cost. Meaningful once every row sum is positive.
+    On a sparse-stored matrix (``core.SPARSE_DENSITY``) it sums over the
+    stored non-zeros alone, each divided by its row sum once per call of
+    ``share_step``; a dense one uses ``(x / row_sums) @ counts``. The
+    non-zeros are row-major, so repeating each x_j (and each row sum) by
+    its row's non-zero count gives the same array as the gather
+    ``x[rows]``, at less cost. Meaningful once every row sum is positive.
     """
     n = matrix.n
     sums = matrix.row_sums
-    if matrix.nonzero_count >= SPARSE_DENSITY * n * n:
+    if not matrix.sparse:
         counts = matrix.counts
         return lambda x: (x / sums) @ counts
     rows, cols, counts = matrix.nonzeros
@@ -258,8 +247,8 @@ def stationary(
         ``share_step``, so no share matrix is built (only the direct path
         forms S, for its own small solve). Every call runs every check, but
         the scans behind them run once per CitationMatrix: the non-zero
-        count and negative cell on its construction, the non-zeros and
-        irreducibility on first use.
+        count, the negative cell and the stored non-zeros of a sparse one
+        on its construction, irreducibility on first use.
     alpha : damping weight in [0, 1]. 0 returns the teleport vector exactly;
         1 solves the pure eigen-problem and requires an irreducible pattern.
     teleport : non-negative vector summing to 1.

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import CitationMatrix, FieldPartition, Journal, JournalSet
 from .errors import GenerationFailed
 
@@ -99,8 +100,9 @@ class BlockModelSpec:
 
 _MAX_ATTEMPTS = 50
 # Rows per Poisson draw in block_model: the draw's int64 block is the only
-# memory it holds beside the counts.
-_BLOCK_ROWS = 128
+# memory it holds beside the counts. 32 rows of 1500 journals take 0.4 MB,
+# about the size of the non-zeros of the sparse benchmark instance.
+_BLOCK_ROWS = 32
 
 
 def block_model(spec: BlockModelSpec) -> tuple[JournalSet, CitationMatrix, FieldPartition]:
@@ -114,9 +116,12 @@ def block_model(spec: BlockModelSpec) -> tuple[JournalSet, CitationMatrix, Field
     Each attempt draws the article counts, then the citation counts cell by
     cell in row-major order, the order of one ``rng.poisson`` call on the
     full n x n matrix of means, so an instance and the generator state a
-    retry continues from depend only on the spec. The counts are drawn
-    straight into the float64 matrix a few rows at a time, so an attempt
-    holds the counts plus one block of rows, never an n x n matrix of means.
+    retry continues from depend only on the spec. The counts are drawn a
+    few rows at a time, so an attempt holds the counts plus one block of
+    rows, never an n x n matrix of means. When the spec's expected share of
+    non-zero cells (1 - exp(-mean) a cell) is below ``core.SPARSE_DENSITY``,
+    only each block's non-zeros are kept; otherwise the blocks fill the
+    float64 matrix. The matrix still picks its storage by the actual count.
     """
     rng = np.random.default_rng(spec.seed)
     m = spec.journals_per_field
@@ -125,28 +130,18 @@ def block_model(spec: BlockModelSpec) -> tuple[JournalSet, CitationMatrix, Field
     low = max(1, base // 2)
     high = base + base // 2
     within_2 = spec.within_mean if spec.within_mean_2 is None else spec.within_mean_2
+    # A quarter of the cells lies in each field's own block, half across.
+    means = (spec.within_mean, within_2, spec.cross_mean, spec.cross_mean)
+    sparse = np.mean([-np.expm1(-mean) for mean in means]) < core.SPARSE_DENSITY
 
     for _ in range(_MAX_ATTEMPTS):
         field_a1 = rng.integers(low, high + 1, size=m)
         a1 = np.concatenate([field_a1, field_a1])
         a2 = np.rint(spec.eta * a1).astype(int)
 
-        counts = np.empty((n, n))
-        for start, within in ((0, spec.within_mean), (m, within_2)):
-            mean_row = np.full(n, spec.cross_mean)
-            mean_row[start:start + m] = within
-            for lo in range(start, start + m, _BLOCK_ROWS):
-                hi = min(lo + _BLOCK_ROWS, start + m)
-                counts[lo:hi] = rng.poisson(mean_row, size=(hi - lo, n))
-        if spec.cross_mean == 0:
-            counts[0, m] = max(counts[0, m], 1.0)
-            counts[m, 0] = max(counts[m, 0], 1.0)
-
-        # counts is a fresh C-ordered float64 array that nothing else holds,
-        # so the matrix takes it over instead of copying it.
-        matrix = CitationMatrix._adopt(counts)
+        matrix = _draw_citations(rng, spec, within_2, sparse)
         if np.any(matrix.row_sums == 0) or not matrix.irreducible:
-            del counts, matrix  # freed before the next attempt allocates its own
+            del matrix  # freed before the next attempt allocates its own
             continue
         journals = JournalSet(
             tuple(
@@ -160,3 +155,34 @@ def block_model(spec: BlockModelSpec) -> tuple[JournalSet, CitationMatrix, Field
     raise GenerationFailed(
         f"no irreducible instance after {_MAX_ATTEMPTS} attempts for {spec}"
     )
+
+
+def _draw_citations(rng, spec: BlockModelSpec, within_2: float, sparse: bool) -> CitationMatrix:
+    """One attempt's citation counts, drawn a block of rows at a time into
+    the dense matrix or, when ``sparse``, into row-major non-zeros."""
+    m = spec.journals_per_field
+    n = 2 * m
+    counts = None if sparse else np.empty((n, n))
+    parts = []
+    for start, within in ((0, spec.within_mean), (m, within_2)):
+        mean_row = np.full(n, spec.cross_mean)
+        mean_row[start:start + m] = within
+        for lo in range(start, start + m, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, start + m)
+            block = rng.poisson(mean_row, size=(hi - lo, n))
+            if spec.cross_mean == 0 and lo == start:
+                # The bridges (0, m) and (m, 0) open each field's first block.
+                block[0, m - start] = max(block[0, m - start], 1)
+            if sparse:
+                rows, cols = np.nonzero(block)
+                parts.append((rows + lo, cols, block[rows, cols].astype(float)))
+            else:
+                counts[lo:hi] = block
+            del block  # freed before the next block is drawn
+    # counts (or the triplets) are fresh arrays that nothing else holds, so
+    # the matrix takes them over instead of copying them.
+    if sparse:
+        triplets = tuple(np.concatenate(arrays) for arrays in zip(*parts))
+        del parts
+        return CitationMatrix._adopt(triplets, n=n)
+    return CitationMatrix._adopt(counts)

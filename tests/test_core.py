@@ -253,6 +253,33 @@ class TestIsIrreducible:
         assert 30 <= sum(verdicts) <= 270
 
 
+def flat_nonzeros(counts):
+    """The non-zero triplets as the scan of the float cells finds them."""
+    flat = np.flatnonzero(counts)
+    rows, cols = np.divmod(flat, counts.shape[0])
+    return rows, cols, counts.ravel()[flat]
+
+
+class TestNonzeros:
+    @pytest.mark.parametrize(
+        "cell",
+        [np.nan, np.inf, -np.inf, -0.0, -2.5, 0.0, 3.0],
+        ids=["nan", "inf", "-inf", "-0.0", "negative", "zero", "positive"],
+    )
+    @pytest.mark.parametrize("density", (0.0, 2.0), ids=("dense", "sparse"))
+    def test_mask_scan_finds_the_float_scan_triplets(self, cell, density, monkeypatch):
+        monkeypatch.setattr(core, "SPARSE_DENSITY", density)
+        counts = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        counts[1, 1] = cell
+        expected = flat_nonzeros(counts)
+        matrix = jr.CitationMatrix(counts)
+        assert matrix.sparse is (density > 0)
+        for found in (core._nonzeros(counts), matrix.nonzeros):
+            for a, e in zip(found, expected):
+                assert a.dtype == e.dtype and a.tobytes() == e.tobytes()
+        assert matrix.nonzero_count == expected[0].size
+
+
 class TestDropJournal:
     def test_drop_last_journal_row_sums(self, two_field):
         journals, matrix = two_field

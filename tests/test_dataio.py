@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import journalrank as jr
-from journalrank import dataio
+from journalrank import core, dataio
 from journalrank.errors import ValidationError
 
 from conftest import make_block
@@ -483,20 +483,19 @@ def write_matrix_per_cell(path, ids, counts):
             writer.writerow([ident] + cells)
 
 
+WRITE_CASES = {
+    "integral": [[1.0, 2.0], [3.0, 4.0]],
+    "negative-zero": [[-0.0, 2.0], [0.0, -7.0]],
+    "non-integral": [[1.5, 2.0], [3.0, 4.0]],
+    "non-finite": [[np.nan, -np.inf], [np.inf, 2.0]],
+    "beyond-int64": [[2.0**63, 1.0], [-(2.0**63), 1e300]],
+    "int64-edge": [[2.0**63 - 1024, 1.0], [-(2.0**63) + 1024, 2.0**53 + 2]],
+    "zeros": [[0.0, 0.0], [0.0, 0.0]],
+}
+
+
 class TestWriteMatrix:
-    @pytest.mark.parametrize(
-        "counts",
-        [
-            [[1.0, 2.0], [3.0, 4.0]],
-            [[-0.0, 2.0], [0.0, -7.0]],
-            [[1.5, 2.0], [3.0, 4.0]],
-            [[np.nan, -np.inf], [np.inf, 2.0]],
-            [[2.0**63, 1.0], [-(2.0**63), 1e300]],
-            [[2.0**63 - 1024, 1.0], [-(2.0**63) + 1024, 2.0**53 + 2]],
-            [[0.0, 0.0], [0.0, 0.0]],
-        ],
-        ids=["integral", "negative-zero", "non-integral", "non-finite", "beyond-int64", "int64-edge", "zeros"],
-    )
+    @pytest.mark.parametrize("counts", list(WRITE_CASES.values()), ids=list(WRITE_CASES))
     def test_bytes_match_per_cell_writer(self, tmp_path, counts):
         ids = ['a,"b"', "say \"hi\", then"]
         journals = jr.JournalSet(tuple(jr.Journal(i, None, 1, 1) for i in ids))
@@ -510,6 +509,24 @@ class TestWriteMatrix:
         dataio.write_matrix(tmp_path / "fast.csv", journals, matrix)
         write_matrix_per_cell(tmp_path / "reference.csv", journals.ids, matrix.counts)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "counts",
+        [*WRITE_CASES.values(), make_block(seed=21, m=12)[1].counts],
+        ids=[*WRITE_CASES, "block_model"],
+    )
+    def test_sparse_storage_writes_the_dense_bytes_without_densifying(self, tmp_path, counts, monkeypatch):
+        n = len(counts)
+        journals = jr.JournalSet(tuple(jr.Journal(f"J{k}", None, 1, 1) for k in range(n)))
+        written = {}
+        for layout, density in (("dense", 0.0), ("sparse", 2.0)):
+            monkeypatch.setattr(core, "SPARSE_DENSITY", density)
+            matrix = jr.CitationMatrix(np.array(counts))
+            dataio.write_matrix(tmp_path / f"{layout}.csv", journals, matrix)
+            assert matrix.sparse is (layout == "sparse")
+            assert ("counts" in matrix.__dict__) is (layout == "dense")
+            written[layout] = (tmp_path / f"{layout}.csv").read_bytes()
+        assert written["sparse"] == written["dense"]
 
     def test_non_integral_matrix_does_not_read_back(self, tmp_path):
         journals = abc_journals()

@@ -9,6 +9,7 @@ journals, below ``SPARSE_DENSITY``) reach the power path's triplet matvec.
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import journalrank as jr
-from journalrank import dataio
-from journalrank.spectral import SPARSE_DENSITY, SolverConfig, stationary
+from journalrank import core, dataio
+from journalrank.core import SPARSE_DENSITY
+from journalrank.spectral import SolverConfig, stationary
 
 DIRECT = SolverConfig(method="direct")
 POWER = SolverConfig(method="power")
@@ -229,6 +231,59 @@ def test_drop_equals_a_fresh_matrix_of_the_deleted_counts(counts):
             assert_same_matrix(reduced, expected)
             assert parent.counts.tobytes() == original and not parent.counts.flags.writeable
             assert_same_matrix(parent, jr.CitationMatrix(counts))
+
+
+def outcomes(journals, matrix):
+    """Every kind's scores under forced power, or the type and text of the
+    error it raises."""
+    result = {}
+    for kind, params in KINDS:
+        try:
+            result[kind] = jr.compute(kind, journals, matrix, solver=POWER, **params).values
+        except (ValueError, jr.JournalRankError) as exc:
+            result[kind] = (type(exc), str(exc))
+    return result
+
+
+def stored(layout, counts, journals):
+    """The matrix of counts and of each drop, stored as layout says
+    whatever the density, and every kind's outcome on it."""
+    with mock.patch.object(core, "SPARSE_DENSITY", {"sparse": 2.0, "dense": 0.0}[layout]):
+        matrix = jr.CitationMatrix(counts)
+        drops = [jr.drop_journal(journals, matrix, k)[1] for k in range(journals.n)]
+        fresh = [jr.CitationMatrix(np.delete(np.delete(counts, k, 0), k, 1)) for k in range(journals.n)]
+        held = set(matrix.__dict__)
+        scores = outcomes(journals, matrix)
+    return matrix, drops, fresh, held, scores
+
+
+@PROPERTY
+@given(st.one_of(awkward_counts(), sparse_instances().map(lambda instance: instance[0])))
+def test_sparse_and_dense_storage_agree(counts):
+    n = counts.shape[0]
+    journals = jr.JournalSet(tuple(jr.Journal(f"J{k}", None, k + 1, 2 * k + 1) for k in range(n)))
+    sparse, sparse_drops, sparse_fresh, held, sparse_scores = stored("sparse", counts, journals)
+    dense, dense_drops, dense_fresh, _, dense_scores = stored("dense", counts, journals)
+    assert sparse.sparse and not dense.sparse
+    # Neither the drops nor building the matrix densified the sparse one.
+    assert "counts" not in held
+    assert_same_matrix(sparse, dense)
+    for k in range(n):
+        assert sparse_drops[k].sparse and not dense_drops[k].sparse
+        assert_same_matrix(sparse_drops[k], dense_drops[k])
+        assert_same_matrix(sparse_drops[k], sparse_fresh[k])
+        assert_same_matrix(dense_drops[k], dense_fresh[k])
+    # IF sums each column in row order on both layouts, so its bits agree.
+    # The other kinds step with the sparse or the dense product, which round
+    # differently, so they agree to the solver's accuracy.
+    for kind, _ in KINDS:
+        s, d = sparse_scores[kind], dense_scores[kind]
+        if isinstance(d, tuple):
+            assert s == d, kind
+        elif kind == "if":
+            assert s.tobytes() == d.tobytes()
+        else:
+            np.testing.assert_allclose(s, d, rtol=1e-9, atol=1e-12 * np.abs(d).max(), err_msg=kind)
 
 
 @st.composite

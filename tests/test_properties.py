@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import journalrank as jr
-from journalrank import core, properties, spectral
+from journalrank import core, properties
 from journalrank.core import CitationMatrix, Journal, JournalSet
 from journalrank.errors import NotIrreducible, PreconditionViolated, ZeroOutgoing
 from journalrank.spectral import SolverConfig
@@ -300,7 +300,7 @@ class TestLeaveOneOut:
         # solves on the sparse path; the reports must not differ from those
         # on matrices built from the deleted counts.
         journals, matrix = sparse_ring(seed=7, n=70)
-        assert matrix.nonzero_count < spectral.SPARSE_DENSITY * matrix.n**2
+        assert matrix.nonzero_count < core.SPARSE_DENSITY * matrix.n**2
         matrix.nonzeros
         reports = properties.leave_one_out_sweep(journals, matrix, kind, **params)
         drops = (*range(0, journals.n, 6), journals.n - 1)

@@ -302,12 +302,12 @@ class TestSparsePowerPath:
         power = SolverConfig(method="power")
         for name, shares in sparse_instances:
             n = shares.shape[0]
-            assert np.count_nonzero(shares) < spectral.SPARSE_DENSITY * n * n, name
+            assert np.count_nonzero(shares) < core.SPARSE_DENSITY * n * n, name
             teleport = np.random.default_rng(n).dirichlet(np.ones(n))
             coo, coo_report = stationary(shares, alpha, teleport, power)
             direct, _ = stationary(shares, alpha, teleport, SolverConfig(method="direct"))
             with monkeypatch.context() as patch:
-                patch.setattr(spectral, "SPARSE_DENSITY", 0.0)
+                patch.setattr(core, "SPARSE_DENSITY", 0.0)
                 dense, dense_report = stationary(shares, alpha, teleport, power)
             assert coo_report.method_used == "power" and coo_report.residual <= 1e-12, name
             assert abs(coo_report.iterations - dense_report.iterations) <= 1, name
@@ -320,13 +320,15 @@ class TestShareStep:
     agree with the dense share matrix, and the indicators' flows do not
     depend on which one runs."""
 
-    # Above 1 even a matrix without a zero cell takes the sparse sum.
+    # Above 1 even a matrix without a zero cell is stored sparse.
     @pytest.mark.parametrize("density", (0.0, 2.0), ids=("dense", "sparse"))
     def test_matches_the_dense_share_matrix(self, zoo, density, monkeypatch):
-        monkeypatch.setattr(spectral, "SPARSE_DENSITY", density)
+        monkeypatch.setattr(core, "SPARSE_DENSITY", density)
         rng = np.random.default_rng(5)
-        for name, journals, matrix in zoo:
-            shares = reference_shares(matrix)
+        for name, journals, stored in zoo:
+            shares = reference_shares(stored)
+            matrix = jr.CitationMatrix(stored.counts)
+            assert matrix.sparse is (density > 0), name
             for x in (journals.articles_t2, rng.dirichlet(np.ones(matrix.n))):
                 step = spectral.share_step(matrix)(x)
                 np.testing.assert_allclose(step, x @ shares, rtol=1e-14, atol=0, err_msg=name)
@@ -335,7 +337,7 @@ class TestShareStep:
         # The sparse sum spreads x over the non-zeros by repeating each x_j
         # per non-zero of row j; the gather x[rows] is the reference form.
         _, matrix, _ = make_block(seed=3, m=200, within=0.025, cross=0.0025)
-        assert matrix.nonzero_count < spectral.SPARSE_DENSITY * matrix.n**2
+        assert matrix.nonzero_count < core.SPARSE_DENSITY * matrix.n**2
         rows, cols, counts = matrix.nonzeros
         shares = counts / matrix.row_sums[rows]
         step = spectral.share_step(matrix)
@@ -347,12 +349,12 @@ class TestShareStep:
 
     def test_indicator_flows_do_not_depend_on_the_realization(self, monkeypatch):
         journals, matrix, _ = make_block(seed=3, m=200, within=0.025, cross=0.0025)
-        assert matrix.nonzero_count < spectral.SPARSE_DENSITY * matrix.n**2
+        assert matrix.nonzero_count < core.SPARSE_DENSITY * matrix.n**2
         for kind in ("ef", "af"):
             sparse = jr.compute(kind, journals, matrix).values
             with monkeypatch.context() as patch:
-                patch.setattr(spectral, "SPARSE_DENSITY", 0.0)
-                dense = jr.compute(kind, journals, matrix).values
+                patch.setattr(core, "SPARSE_DENSITY", 0.0)
+                dense = jr.compute(kind, journals, jr.CitationMatrix(matrix.counts)).values
             assert np.abs(sparse - dense).sum() <= 1e-12 * np.abs(dense).sum(), kind
             if kind == "ef":
                 assert sparse.sum() == pytest.approx(100.0, abs=1e-9)
@@ -408,21 +410,21 @@ class TestOperatorFacts:
         assert jr.CitationMatrix(np.array(counts)).negative_cell == cell
 
     def test_non_zeros_are_extracted_once_per_matrix(self, monkeypatch):
-        extract, sweep = core._nonzeros, core._pattern_irreducible
         calls = {"extract": 0, "sweep": 0}
 
-        def counted_extract(*args):
-            calls["extract"] += 1
-            return extract(*args)
+        def counted(name, function):
+            def call(*args):
+                calls[name] += 1
+                return function(*args)
 
-        def counted_sweep(*args):
-            calls["sweep"] += 1
-            return sweep(*args)
+            return call
 
-        monkeypatch.setattr(core, "_nonzeros", counted_extract)
-        monkeypatch.setattr(core, "_pattern_irreducible", counted_sweep)
+        # Both sweeps count: the pattern's (dense storage) and the links' (sparse).
+        monkeypatch.setattr(core, "_nonzeros", counted("extract", core._nonzeros))
+        monkeypatch.setattr(core, "_pattern_irreducible", counted("sweep", core._pattern_irreducible))
+        monkeypatch.setattr(core, "_links_irreducible", counted("sweep", core._links_irreducible))
         matrix = jr.CitationMatrix(np.roll(np.eye(30), 1, axis=1))  # a 30-cycle, 3.3 % dense
-        assert matrix.nonzero_count < spectral.SPARSE_DENSITY * matrix.n**2
+        assert matrix.nonzero_count < core.SPARSE_DENSITY * matrix.n**2
         uniform = np.full(30, 1.0 / 30.0)
         power = SolverConfig(method="power")
         first = stationary(matrix, 1.0, uniform, power)

@@ -195,13 +195,27 @@ class TestBlockModelStream:
         assert partition.field_of == field_of
         return attempt
 
-    def test_peak_memory_stays_near_the_counts(self):
+    @staticmethod
+    def draw_peak(spec):
+        """The matrix block_model draws for spec, and the draw's traced peak."""
         jr.block_model(jr.BlockModelSpec(1))  # loads numpy.random's lazy modules
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            _, matrix, _ = jr.block_model(jr.BlockModelSpec(750, 0.02, 0.002, seed=1))
+            _, matrix, _ = jr.block_model(spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - before <= 1.25 * matrix.counts.nbytes
+        return matrix, peak - before
+
+    def test_peak_memory_stays_near_the_counts(self):
+        matrix, peak = self.draw_peak(jr.BlockModelSpec(500, 0.4, 0.02, seed=1))
+        assert not matrix.sparse
+        assert peak <= 1.25 * matrix.counts.nbytes
+
+    def test_sparse_draw_holds_no_dense_counts(self):
+        # About 1.1 % of the cells are non-zero: the draw holds the non-zeros
+        # and one block of rows, never an n x n array.
+        matrix, peak = self.draw_peak(jr.BlockModelSpec(750, 0.02, 0.002, seed=1))
+        assert matrix.sparse and "counts" not in matrix.__dict__
+        assert peak <= 0.1 * matrix.n**2 * 8
