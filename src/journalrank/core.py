@@ -6,9 +6,10 @@ The citation matrix follows the row = citing, column = cited convention:
 (later period) to articles in journal ``j`` (earlier period). A matrix
 with fewer than ``SPARSE_DENSITY`` non-zero cells, as a real citation
 database is, stores only its row-major non-zeros and derives its facts
-(row sums, irreducibility, journal drops) from them; the dense counts of
-such a matrix are built only on request, by the failure scans and
-consumers off the solve path.
+(row sums, irreducibility, journal drops) and its failure reports
+(``validate``'s unsound cells, the strongly connected components) from
+them; the dense counts of such a matrix are built only on request, by
+direct elimination and ``np.asarray``.
 """
 
 from __future__ import annotations
@@ -201,24 +202,39 @@ class CitationMatrix:
     @cached_property
     def nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only (rows, cols, counts) of the non-zero cells, row-major:
-        what a sparse matrix stores, and scanned on request from a dense one."""
+        what a sparse matrix stores, and scanned on request from a dense one.
+        Every NaN, infinite or negative cell is among them, in the order
+        ``np.argwhere`` would list it."""
         return _nonzeros(self.counts)
 
     @cached_property
     def irreducible(self) -> bool:
-        """Whether the non-zero citation pattern is strongly connected.
+        """Whether the pattern of positive cells is strongly connected.
 
-        Same verdict as ``structure(matrix).irreducible`` (a single journal
-        counts only when it cites itself, an empty matrix never), from a
-        forward and a backward breadth-first sweep out of journal 0 instead
-        of a full SCC pass: over the n x n pattern of a dense matrix, over
-        the positive non-zeros of a sparse one.
+        Same verdict as ``structure(matrix).irreducible``: a single journal
+        counts only when it cites itself, an empty matrix never. A larger
+        matrix takes a forward and a backward breadth-first sweep out of
+        journal 0 instead of a full SCC pass, one ``_reaches_all`` each;
+        the storage gives the one-link step, along the rows and columns of
+        the dense pattern or along the positive stored non-zeros.
         """
-        if not self.sparse:
-            return _pattern_irreducible(self.counts > 0)
-        rows, cols, values = self.nonzeros
-        positive = values > 0
-        return _links_irreducible(self.n, rows[positive], cols[positive])
+        n = self.n
+        if n <= 1:
+            # A lone journal's row sum is its self-citation count.
+            return bool(n and self.row_sums[0] > 0)
+        if self.sparse:
+            rows, cols = _positive_links(self)
+            steps = (
+                lambda frontier: np.bincount(cols[frontier[rows]], minlength=n) > 0,
+                lambda frontier: np.bincount(rows[frontier[cols]], minlength=n) > 0,
+            )
+        else:
+            pattern = self.counts > 0
+            steps = (
+                lambda frontier: pattern[frontier].any(axis=0),
+                lambda frontier: pattern[:, frontier].any(axis=1),
+            )
+        return all(_reaches_all(n, step) for step in steps)
 
 
 def _negative_cell(counts: np.ndarray) -> tuple[int, int] | None:
@@ -337,12 +353,13 @@ def validate(journals: JournalSet, matrix: CitationMatrix) -> tuple[JournalSet, 
     with np.errstate(over="ignore"):
         total = matrix.row_sums.sum()
     if matrix.negative_cell is not None or not np.isfinite(total):
-        finite = np.isfinite(matrix.counts)
+        rows, cols, values = matrix.nonzeros
+        finite = np.isfinite(values)
         for code, bad, what in (
             ("NonFiniteCount", ~finite, "is not finite"),
-            ("NegativeCount", finite & (matrix.counts < 0), "is negative"),
+            ("NegativeCount", finite & (values < 0), "is negative"),
         ):
-            cells = np.argwhere(bad)
+            cells = np.column_stack((rows[bad], cols[bad]))
             room = max(MAX_ISSUES_PER_CODE - found[code], 0)
             found[code] += len(cells)
             issues.extend(
@@ -350,8 +367,7 @@ def validate(journals: JournalSet, matrix: CitationMatrix) -> tuple[JournalSet, 
             )
         if matrix.negative_cell is None and finite.all():
             # Every cell is sound, yet the sums exceed the float range.
-            with np.errstate(over="ignore"):
-                received = matrix.counts.sum(axis=0)
+            received = np.bincount(cols, weights=values, minlength=matrix.n)
             for what, sums in (("made", matrix.row_sums), ("received", received)):
                 for i in np.flatnonzero(~np.isfinite(sums)):
                     journal = journals.journals[i].id if mismatch is None else None
@@ -372,44 +388,23 @@ def size_mismatch(journals: JournalSet, matrix: CitationMatrix) -> str | None:
     return f"journal set has {journals.n} journals but matrix is {matrix.n}x{matrix.n}"
 
 
-def _reaches_all(pattern: np.ndarray) -> bool:
-    """Whether every node is reachable from node 0 along pattern's rows."""
-    seen = np.zeros(pattern.shape[0], dtype=bool)
-    seen[0] = True
-    frontier = seen.copy()
-    while frontier.any():
-        frontier = pattern[frontier].any(axis=0) & ~seen
-        seen |= frontier
-    return bool(seen.all())
-
-
-def _pattern_irreducible(pattern: np.ndarray) -> bool:
-    n = pattern.shape[0]
-    if n <= 1:
-        return bool(n and pattern[0, 0])
-    return _reaches_all(pattern) and _reaches_all(pattern.T)
-
-
-def _links_reach_all(n: int, sources: np.ndarray, targets: np.ndarray) -> bool:
-    """Whether every node is reachable from node 0 along the links
-    sources[k] -> targets[k]."""
+def _reaches_all(n: int, step) -> bool:
+    """Whether every node is reachable from node 0, where step(frontier)
+    marks the nodes one link away from the boolean mask frontier."""
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
     frontier = seen.copy()
     while frontier.any():
-        reached = np.zeros(n, dtype=bool)
-        reached[targets[frontier[sources]]] = True
-        frontier = reached & ~seen
+        frontier = step(frontier) & ~seen
         seen |= frontier
     return bool(seen.all())
 
 
-def _links_irreducible(n: int, rows: np.ndarray, cols: np.ndarray) -> bool:
-    """``_pattern_irreducible`` of the pattern whose cells are (rows, cols),
-    without the n x n pattern."""
-    if n <= 1:
-        return bool(n and rows.size)
-    return _links_reach_all(n, rows, cols) and _links_reach_all(n, cols, rows)
+def _positive_links(matrix: CitationMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major (rows, cols) of the matrix's positive cells."""
+    rows, cols, values = matrix.nonzeros
+    positive = values > 0
+    return rows[positive], cols[positive]
 
 
 def require_same_size(journals: JournalSet, matrix: CitationMatrix) -> None:
@@ -439,14 +434,17 @@ def require_irreducible(matrix: CitationMatrix) -> None:
 
 
 def strongly_connected_components(matrix) -> list[list[int]]:
-    """Strongly connected components of the non-zero citation pattern.
+    """Strongly connected components of the pattern of positive cells.
 
-    Iterative Tarjan; accepts a CitationMatrix or a bare array. Components
-    are returned as lists of journal indices.
+    Iterative Tarjan over the positive stored non-zeros, never the dense
+    counts; accepts a CitationMatrix or a bare array, which is wrapped in
+    one. Components are returned as lists of journal indices.
     """
-    counts = np.asarray(matrix, dtype=float)
-    n = counts.shape[0]
-    adjacency = [np.nonzero(counts[v] > 0)[0].tolist() for v in range(n)]
+    matrix = matrix if isinstance(matrix, CitationMatrix) else CitationMatrix(matrix)
+    n = matrix.n
+    rows, cols = _positive_links(matrix)
+    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    adjacency = [cols[a:b].tolist() for a, b in zip(bounds[:-1], bounds[1:])]
 
     index = [-1] * n
     low = [0] * n
@@ -503,10 +501,10 @@ def structure(matrix) -> StructureReport:
     solver needs it, since the alpha = 1 power path goes on with lazy
     half-steps when its plain steps do not settle.
     """
-    counts = np.asarray(matrix, dtype=float)
-    if counts.shape[0] == 1:
-        return StructureReport(bool(counts[0, 0] > 0))
-    return StructureReport(len(strongly_connected_components(counts)) == 1)
+    matrix = matrix if isinstance(matrix, CitationMatrix) else CitationMatrix(matrix)
+    if matrix.n == 1:
+        return StructureReport(bool(np.any(matrix.nonzeros[2] > 0)))
+    return StructureReport(len(strongly_connected_components(matrix)) == 1)
 
 
 def drop_journal(

@@ -94,8 +94,8 @@ def min_delta(matrix: core.CitationMatrix, partition: FieldPartition) -> float:
     if dangling.size:
         raise ZeroOutgoing(int(dangling[0]))
     labels = np.array(partition.field_of)
-    same_field = labels[:, None] == labels[None, :]
-    own = np.where(same_field, matrix.counts, 0.0).sum(axis=1)
+    rows, cols, values = matrix.nonzeros
+    own = np.bincount(rows, weights=np.where(labels[rows] == labels[cols], values, 0.0), minlength=matrix.n)
     cross = sums - own
     return float(np.max(cross / sums))
 

@@ -1,5 +1,6 @@
 import copy
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +253,30 @@ class TestIsIrreducible:
             verdicts.append(verdict)
         assert 30 <= sum(verdicts) <= 270
 
+    @pytest.mark.parametrize("density", (0.0, 2.0), ids=("dense", "sparse"))
+    def test_components_match_scipy_on_seeded_random_patterns(self, density, monkeypatch):
+        csgraph = pytest.importorskip("scipy.sparse.csgraph")
+        monkeypatch.setattr(core, "SPARSE_DENSITY", density)
+        rng = np.random.default_rng(29)
+        verdicts = []
+        for trial in range(200):
+            n = 1 if trial < 10 else int(rng.integers(2, 40))
+            counts = (rng.random((n, n)) < rng.uniform(0.02, 0.4)) * rng.integers(1, 5, size=(n, n)).astype(float)
+            counts[np.diag_indices(n)] = rng.random(n) < 0.3  # self-loops
+            if trial % 4 == 0:
+                counts[rng.random(n) < 0.1] = 0.0  # zero rows
+            # Negative and NaN cells are stored non-zeros, but no links.
+            counts[rng.random((n, n)) < 0.02] = rng.choice((-1.0, np.nan))
+            matrix = jr.CitationMatrix(counts)
+            assert matrix.sparse is (density > 0)
+            count, labels = csgraph.connected_components((counts > 0).astype(float), connection="strong")
+            expected = sorted(np.flatnonzero(labels == k).tolist() for k in range(count))
+            assert sorted(map(sorted, core.strongly_connected_components(matrix))) == expected
+            assert matrix.irreducible == (count == 1 and (n > 1 or counts[0, 0] > 0))
+            assert matrix.sparse is ("counts" not in matrix.__dict__)
+            verdicts.append(matrix.irreducible)
+        assert 40 <= sum(verdicts) <= 160
+
 
 def flat_nonzeros(counts):
     """The non-zero triplets as the scan of the float cells finds them."""
@@ -278,6 +303,54 @@ class TestNonzeros:
             for a, e in zip(found, expected):
                 assert a.dtype == e.dtype and a.tobytes() == e.tobytes()
         assert matrix.nonzero_count == expected[0].size
+
+
+@pytest.fixture(scope="module")
+def split_fields():
+    """A 4000-journal instance stored sparse, and its matrix without the two
+    bridge citations between the fields: every journal still cites inside
+    its field, but the fields no longer reach each other."""
+    journals, matrix, _ = jr.block_model(jr.BlockModelSpec(2000, within_mean=0.02, cross_mean=0.0, seed=1))
+    rows, cols, values = matrix.nonzeros
+    inside = (rows < 2000) == (cols < 2000)
+    split = core.CitationMatrix._adopt((rows[inside], cols[inside], values[inside]), n=4000)
+    assert matrix.sparse and split.sparse and np.all(split.row_sums > 0)
+    return journals, matrix, split
+
+
+def peak_while_raising(error, call):
+    """The peak memory traced while call() raises error, and the error."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        with pytest.raises(error) as err:
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before, err.value
+
+
+class TestSparseFailurePaths:
+    """The failure paths of a sparse-stored matrix read its non-zeros: the
+    dense counts alone of this instance would take 122 MiB."""
+
+    def test_components_of_split_fields(self, split_fields):
+        journals, _, split = split_fields
+        peak, err = peak_while_raising(NotIrreducible, lambda: jr.compute("ipp", journals, split))
+        assert sorted(map(sorted, err.components)) == [list(range(2000)), list(range(2000, 4000))]
+        assert peak <= 16 * 2**20
+        assert "counts" not in split.__dict__
+
+    def test_validate_a_negative_cell(self, split_fields):
+        journals, matrix, _ = split_fields
+        rows, cols, values = (array.copy() for array in matrix.nonzeros)
+        values[1234] = -1.0
+        negative = core.CitationMatrix._adopt((rows, cols, values), n=matrix.n)
+        peak, err = peak_while_raising(ValidationError, lambda: jr.validate(journals, negative))
+        assert [(i.code, i.cell) for i in err.issues] == [("NegativeCount", (int(rows[1234]), int(cols[1234])))]
+        assert peak <= 16 * 2**20
+        assert "counts" not in negative.__dict__
 
 
 class TestDropJournal:

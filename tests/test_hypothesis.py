@@ -183,6 +183,19 @@ def awkward_counts(draw):
     return np.asfortranarray(counts) if draw(st.booleans()) else counts
 
 
+@st.composite
+def reducible_counts(draw):
+    """A 2-9 journal count matrix in which every journal cites itself and
+    no journal of the second block cites the first: every row sum is
+    positive, yet the pattern is reducible."""
+    n = draw(st.integers(2, 9))
+    split = draw(st.integers(1, n - 1))
+    counts = np.array(draw(st.lists(st.sampled_from((0.0, 1.0, 3.0)), min_size=n * n, max_size=n * n))).reshape(n, n)
+    counts[split:, :split] = 0.0
+    counts[np.diag_indices(n)] += 1.0
+    return counts
+
+
 FACTS = ("nonzero_count", "nonzeros", "negative_cell", "irreducible")
 
 
@@ -233,39 +246,56 @@ def test_drop_equals_a_fresh_matrix_of_the_deleted_counts(counts):
             assert_same_matrix(parent, jr.CitationMatrix(counts))
 
 
+def outcome(call):
+    """call()'s result, or the type and text of the error it raises, with
+    a ValidationError's issues and issue_count."""
+    try:
+        return call()
+    except jr.ValidationError as exc:
+        return type(exc), str(exc), exc.issues, exc.issue_count
+    except (ValueError, jr.JournalRankError) as exc:
+        return type(exc), str(exc)
+
+
 def outcomes(journals, matrix):
     """Every kind's scores under forced power, or the type and text of the
     error it raises."""
-    result = {}
-    for kind, params in KINDS:
-        try:
-            result[kind] = jr.compute(kind, journals, matrix, solver=POWER, **params).values
-        except (ValueError, jr.JournalRankError) as exc:
-            result[kind] = (type(exc), str(exc))
-    return result
+    return {
+        kind: outcome(lambda: jr.compute(kind, journals, matrix, solver=POWER, **params).values)
+        for kind, params in KINDS
+    }
 
 
-def stored(layout, counts, journals):
+def stored(layout, counts, journals, partition):
     """The matrix of counts and of each drop, stored as layout says
-    whatever the density, and every kind's outcome on it."""
+    whatever the density, and what every kind, ``validate``, the components
+    and ``min_delta`` (its bits) give on it."""
     with mock.patch.object(core, "SPARSE_DENSITY", {"sparse": 2.0, "dense": 0.0}[layout]):
         matrix = jr.CitationMatrix(counts)
         drops = [jr.drop_journal(journals, matrix, k)[1] for k in range(journals.n)]
         fresh = [jr.CitationMatrix(np.delete(np.delete(counts, k, 0), k, 1)) for k in range(journals.n)]
+        results = outcomes(journals, matrix)
+        results["validate"] = outcome(lambda: jr.validate(journals, matrix) and None)
+        results["components"] = core.strongly_connected_components(matrix)
+        results["min_delta"] = outcome(lambda: jr.min_delta(matrix, partition).hex())
         held = set(matrix.__dict__)
-        scores = outcomes(journals, matrix)
-    return matrix, drops, fresh, held, scores
+    return matrix, drops, fresh, held, results
 
 
 @PROPERTY
-@given(st.one_of(awkward_counts(), sparse_instances().map(lambda instance: instance[0])))
-def test_sparse_and_dense_storage_agree(counts):
+@given(st.data())
+def test_sparse_and_dense_storage_agree(data):
+    counts = data.draw(
+        st.one_of(awkward_counts(), reducible_counts(), sparse_instances().map(lambda instance: instance[0]))
+    )
     n = counts.shape[0]
     journals = jr.JournalSet(tuple(jr.Journal(f"J{k}", None, k + 1, 2 * k + 1) for k in range(n)))
-    sparse, sparse_drops, sparse_fresh, held, sparse_scores = stored("sparse", counts, journals)
-    dense, dense_drops, dense_fresh, _, dense_scores = stored("dense", counts, journals)
+    partition = jr.FieldPartition((1, *data.draw(st.lists(st.sampled_from((1, 2)), min_size=n - 2, max_size=n - 2)), 2))
+    sparse, sparse_drops, sparse_fresh, held, sparse_results = stored("sparse", counts, journals, partition)
+    dense, dense_drops, dense_fresh, _, dense_results = stored("dense", counts, journals, partition)
     assert sparse.sparse and not dense.sparse
-    # Neither the drops nor building the matrix densified the sparse one.
+    # Neither building the matrix, its drops, any kind's outcome, validate,
+    # the components nor min_delta densified the sparse one.
     assert "counts" not in held
     assert_same_matrix(sparse, dense)
     for k in range(n):
@@ -273,11 +303,13 @@ def test_sparse_and_dense_storage_agree(counts):
         assert_same_matrix(sparse_drops[k], dense_drops[k])
         assert_same_matrix(sparse_drops[k], sparse_fresh[k])
         assert_same_matrix(dense_drops[k], dense_fresh[k])
+    for name in ("validate", "components", "min_delta"):
+        assert sparse_results[name] == dense_results[name], name
     # IF sums each column in row order on both layouts, so its bits agree.
     # The other kinds step with the sparse or the dense product, which round
     # differently, so they agree to the solver's accuracy.
     for kind, _ in KINDS:
-        s, d = sparse_scores[kind], dense_scores[kind]
+        s, d = sparse_results[kind], dense_results[kind]
         if isinstance(d, tuple):
             assert s == d, kind
         elif kind == "if":

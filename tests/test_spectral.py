@@ -419,10 +419,10 @@ class TestOperatorFacts:
 
             return call
 
-        # Both sweeps count: the pattern's (dense storage) and the links' (sparse).
+        # Both storage layouts sweep through _reaches_all; one verdict on an
+        # irreducible matrix is two sweeps, the forward and the backward one.
         monkeypatch.setattr(core, "_nonzeros", counted("extract", core._nonzeros))
-        monkeypatch.setattr(core, "_pattern_irreducible", counted("sweep", core._pattern_irreducible))
-        monkeypatch.setattr(core, "_links_irreducible", counted("sweep", core._links_irreducible))
+        monkeypatch.setattr(core, "_reaches_all", counted("sweep", core._reaches_all))
         matrix = jr.CitationMatrix(np.roll(np.eye(30), 1, axis=1))  # a 30-cycle, 3.3 % dense
         assert matrix.nonzero_count < core.SPARSE_DENSITY * matrix.n**2
         uniform = np.full(30, 1.0 / 30.0)
@@ -430,12 +430,12 @@ class TestOperatorFacts:
         first = stationary(matrix, 1.0, uniform, power)
         second = stationary(matrix, 1.0, uniform, power)
         stationary(matrix, 0.85, uniform, power)
-        assert calls == {"extract": 1, "sweep": 1}
+        assert calls == {"extract": 1, "sweep": 2}
         np.testing.assert_array_equal(first[0], second[0])
         assert first[1] == second[1] and first[1].iterations > 0
         # A bare array is wrapped afresh, so each of its solves extracts again.
         stationary(matrix.counts, 0.85, uniform, power)
-        assert calls == {"extract": 2, "sweep": 1}
+        assert calls == {"extract": 2, "sweep": 2}
 
 
     def test_concurrent_first_use_solves_alike(self):
