@@ -270,7 +270,10 @@ class FieldPartition:
     field_of: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "field_of", tuple(int(f) for f in self.field_of))
+        labels = tuple(self.field_of)
+        if any(isinstance(f, (bool, np.bool_)) or not isinstance(f, (int, np.integer)) for f in labels):
+            raise ValueError("field labels must be integers")
+        object.__setattr__(self, "field_of", tuple(int(f) for f in labels))
         if any(f not in (1, 2) for f in self.field_of):
             raise ValueError("fields must be labelled 1 or 2")
         if not self.j1.size or not self.j2.size:

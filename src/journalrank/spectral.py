@@ -19,10 +19,12 @@ stop rule: the step and the step times rho / (1 - rho) are both at most the
 tolerance, where rho is the measured contraction rate, 1 until a rate is
 measured, and capped at alpha. For alpha < 1 the map contracts L1
 distances by alpha, so a stop under the cap bounds the error by the
-tolerance. At alpha = 1 it takes plain steps x <- xS and, when they have
-not settled within a fixed budget (a periodic or nearly periodic chain),
-half-lazy steps x <- (x + xS)/2, which converge on every irreducible
-chain. An alpha = 1 solve checks irreducibility with
+tolerance. Every power step is one damping, x <- w xS + (1 - w) a: weight
+w = alpha toward the teleport a = t (at alpha = 1 the plain step x <- xS)
+and, at alpha = 1 once plain steps have not settled within a fixed budget
+(a periodic or nearly periodic chain), weight w = 1/2 toward the current
+iterate a = x, a half-lazy step that converges on every irreducible chain.
+An alpha = 1 solve checks irreducibility with
 ``core.require_irreducible``; the strongly connected components are
 computed only to describe a failure. Solved vectors are not cached: every
 call solves.
@@ -73,11 +75,11 @@ METHODS = ("auto", "direct", "power")
 _JUMP_FIT = 1e-2
 _JUMP_MAX_RATE = 1.0 - 1e-6
 # At alpha = 1 the first _PLAIN_STEPS steps are plain, x <- xS, whose error
-# modes shrink at their own rate |lam|; the half-lazy step x <- (x + xS)/2
-# maps each lam to (1 + lam)/2, so no mode shrinks by more than half a step.
-# A plain step never converges on a periodic chain and crawls on a nearly
-# periodic one, so a solve still running after _PLAIN_STEPS steps goes on
-# half-lazy.
+# modes shrink at their own rate |lam|; the half-lazy step, weight 1/2
+# toward x, maps each lam to (1 + lam)/2, so no mode shrinks by more than
+# half a step. A plain step never converges on a periodic chain and crawls
+# on a nearly periodic one, so a solve still running after _PLAIN_STEPS
+# steps goes on half-lazy.
 _PLAIN_STEPS = 200
 
 
@@ -116,13 +118,25 @@ class SolverReport:
     method_used: str
 
 
+def _require_sound_cells(matrix: core.CitationMatrix) -> None:
+    """Raise ValueError for a non-finite cell or the first negative one."""
+    # A NaN or infinite cell makes its row sum non-finite.
+    if not np.all(np.isfinite(matrix.row_sums)):
+        raise ValueError("shares must be finite")
+    if matrix.negative_cell is not None:
+        i, j = matrix.negative_cell
+        raise ValueError(f"shares cell ({i}, {j}) is negative")
+
+
 def reference_shares(matrix: core.CitationMatrix) -> np.ndarray:
     """Row-normalize the citation matrix.
 
     Entry [j, i] is the share of journal j's outgoing citations received by
-    journal i. Raises ZeroOutgoing for the first dangling row: a journal
-    without outgoing citations has no reference shares.
+    journal i. Raises ValueError for a non-finite or negative cell, as
+    ``stationary`` does, and ZeroOutgoing for the first dangling row: a
+    journal without outgoing citations has no reference shares.
     """
+    _require_sound_cells(matrix)
     sums = matrix.row_sums
     dangling = np.flatnonzero(sums == 0)
     if dangling.size:
@@ -172,20 +186,15 @@ def _direct(matrix: core.CitationMatrix, alpha: float, teleport: np.ndarray):
 
 
 def _power(matrix: core.CitationMatrix, alpha: float, teleport: np.ndarray, config: SolverConfig):
-    # Each step works in place on the fresh array that ``step`` returns and
-    # adds the teleport term computed once: the same operations on the same
-    # operands as the expression alpha * step(x) + (1 - alpha) * teleport,
-    # so the iterates are bitwise those of that expression.
     step = share_step(matrix)
-    damped_teleport = (1.0 - alpha) * teleport
     x = np.array(teleport, dtype=float)
     x /= x.sum()
-    lazy = False
+    # Each step is x <- weight * xS + (1 - weight) * anchor(x).
+    weight, anchor = alpha, lambda current: teleport
     tol = config.tolerance
     prev_delta = np.inf
     delta = np.inf
     prev_diff = None  # the last step's difference, None right after a jump
-    prev_square = 0.0  # prev_diff @ prev_diff, kept for the next fit
     jumped = 0.0  # largest mode rate extrapolated away so far
     for iteration in range(1, config.max_iterations + 1):
         if alpha == 1.0 and iteration == _PLAIN_STEPS + 1:
@@ -193,15 +202,9 @@ def _power(matrix: core.CitationMatrix, alpha: float, teleport: np.ndarray, conf
             # go on with half-lazy steps, which share the fixed point and
             # converge on any irreducible chain. Rates measured so far
             # belong to the other map; the floor from past jumps stays.
-            lazy = True
+            weight, anchor = 0.5, lambda current: current
             prev_diff, prev_delta = None, np.inf
-        x_next = step(x)
-        if lazy:
-            x_next *= 0.5
-            x_next += 0.5 * x
-        else:
-            x_next *= alpha
-            x_next += damped_teleport
+        x_next = weight * step(x) + (1.0 - weight) * anchor(x)
         x_next /= x_next.sum()
         diff = x_next - x
         delta = float(np.abs(diff).sum())
@@ -209,7 +212,7 @@ def _power(matrix: core.CitationMatrix, alpha: float, teleport: np.ndarray, conf
         if delta == 0.0:
             return x, SolverReport(iteration, delta, "power")
         if prev_diff is not None:
-            lam = float(diff @ prev_diff) / prev_square
+            lam = float(diff @ prev_diff) / float(prev_diff @ prev_diff)
             if 0.0 < lam < _JUMP_MAX_RATE and np.abs(diff - lam * prev_diff).sum() <= _JUMP_FIT * delta:
                 # One real mode of rate lam dominates the error: its tail
                 # sums to diff * lam / (1 - lam). The limit is non-negative,
@@ -220,7 +223,6 @@ def _power(matrix: core.CitationMatrix, alpha: float, teleport: np.ndarray, conf
                 prev_diff, prev_delta = None, np.inf
                 continue
         prev_diff = diff
-        prev_square = float(diff @ diff)
         # The one stop rule, stated above the jump constants.
         rho = min(max(delta / prev_delta, jumped) if np.isfinite(prev_delta) else 1.0, alpha)
         if delta <= tol and rho < 1.0 and delta * rho / (1.0 - rho) <= tol:
@@ -268,14 +270,8 @@ def stationary(
         raise ValueError("teleport must be finite")
     if np.any(teleport < 0) or abs(teleport.sum() - 1.0) > 1e-9:
         raise ValueError("teleport must be a probability vector")
-    sums = matrix.row_sums
-    # A NaN or infinite cell makes its row sum non-finite.
-    if not np.all(np.isfinite(sums)):
-        raise ValueError("shares must be finite")
-    if matrix.negative_cell is not None:
-        i, j = matrix.negative_cell
-        raise ValueError(f"shares cell ({i}, {j}) is negative")
-    empty = np.flatnonzero(sums <= 0)
+    _require_sound_cells(matrix)
+    empty = np.flatnonzero(matrix.row_sums <= 0)
     if empty.size:
         raise ValueError(f"shares row {int(empty[0])} has no positive sum")
 

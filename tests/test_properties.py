@@ -46,6 +46,14 @@ class TestFieldPartition:
         lopsided = jr.FieldPartition((1, 1, 1, 2, 2, 2, 2, 2))
         assert not lopsided.is_balanced(journals)
 
+    @pytest.mark.parametrize("label", (True, np.True_, 1.5, 1.0))
+    def test_bool_and_non_integer_labels_rejected(self, label):
+        with pytest.raises(ValueError, match="^field labels must be integers$"):
+            jr.FieldPartition((label, 2))
+
+    def test_numpy_integer_labels_accepted(self):
+        assert jr.FieldPartition(tuple(np.array([1, 2]))).field_of == (1, 2)
+
 
 class TestMinDelta:
     def test_near_decomposable_is_three_permille(self, near_decomposable):
@@ -68,6 +76,27 @@ class TestMinDelta:
         matrix = CitationMatrix(np.array([[0.0, 0.0], [1.0, 1.0]]))
         with pytest.raises(ZeroOutgoing):
             jr.min_delta(matrix, jr.FieldPartition((1, 2)))
+
+    @pytest.mark.parametrize("layout", ("dense", "sparse"))
+    @pytest.mark.parametrize(
+        "counts, message",
+        (
+            ([[1.0, np.inf], [1.0, 1.0]], "matrix cell (0, 1) is not finite"),
+            ([[1.0, np.nan], [1.0, 1.0]], "matrix cell (0, 1) is not finite"),
+            ([[1.0, -1.0], [1.0, 1.0]], "matrix cell (0, 1) is negative"),
+            ([[1.0, 1.0], [-1.0, np.nan]], "matrix cell (1, 0) is negative"),
+            ([[1.0, 1.0], [1e308, 1e308]], "citations made by matrix index 1 sum beyond the float range"),
+        ),
+    )
+    def test_unsound_cells_rejected_in_validates_words(self, monkeypatch, layout, counts, message):
+        # The negative cell of [[1, -1], [1, 1]] would otherwise leave row 0
+        # summing to 0, a dangling journal; an infinite cell gave nan.
+        monkeypatch.setattr(core, "SPARSE_DENSITY", {"dense": 0.0, "sparse": 2.0}[layout])
+        matrix = CitationMatrix(np.array(counts))
+        assert matrix.sparse is (layout == "sparse")
+        with pytest.raises(ValueError) as err:
+            jr.min_delta(matrix, jr.FieldPartition((1, 2)))
+        assert str(err.value) == message
 
     def test_partition_of_another_length_rejected(self, two_field):
         _, matrix = two_field

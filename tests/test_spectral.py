@@ -6,7 +6,7 @@ import pytest
 
 import journalrank as jr
 from journalrank import core, spectral
-from journalrank.errors import NoConvergence, NotIrreducible
+from journalrank.errors import NoConvergence, NotIrreducible, ZeroOutgoing
 from journalrank.spectral import SolverConfig, reference_shares, stationary
 
 from conftest import make_block
@@ -173,6 +173,26 @@ class TestStationary:
         journals = jr.JournalSet(tuple(jr.Journal(f"J{k}", None, 5, 5) for k in range(3)))
         with pytest.raises(ValueError, match="is negative"):
             jr.eigenfactor(journals, jr.CitationMatrix(np.array(counts)), alpha, config)
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        (
+            ([[np.inf, 1.0], [1.0, 1.0]], "shares must be finite"),
+            ([[1.0, np.nan], [1.0, 1.0]], "shares must be finite"),
+            ([[2.0, -1.0], [1.0, 1.0]], "shares cell (0, 1) is negative"),
+        ),
+    )
+    def test_reference_shares_runs_the_same_cell_checks(self, counts, message):
+        # An infinite cell gave NaN shares, and the negative one the share -1.
+        matrix = jr.CitationMatrix(np.array(counts))
+        for solve in (reference_shares, lambda m: stationary(m, 0.5, np.array([0.5, 0.5]))):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                solve(matrix)
+
+    def test_reference_shares_rejects_a_dangling_row(self):
+        with pytest.raises(ZeroOutgoing) as err:
+            reference_shares(jr.CitationMatrix(np.array([[1.0, 1.0], [0.0, 0.0]])))
+        assert err.value.index == 1
 
     @pytest.mark.parametrize("method", ("direct", "power"))
     @pytest.mark.parametrize("teleport", ([np.nan, 0.5], [np.nan, np.nan], [np.inf, -np.inf]))
@@ -501,6 +521,50 @@ def _without_jumps(monkeypatch, matrix, alpha, teleport):
     with monkeypatch.context() as patch:
         patch.setattr(spectral, "_JUMP_MAX_RATE", 0.0)
         return stationary(matrix, alpha, teleport, SolverConfig(method="power"))
+
+
+class TestStepRule:
+    """Every power step is one damping, x <- w xS + (1 - w) a: w = alpha
+    toward the teleport a = t, and at alpha = 1, after _PLAIN_STEPS steps,
+    w = 1/2 toward the current iterate a = x. Without jumps the solve is
+    that step, repeated as many times as it reports, from the teleport."""
+
+    @staticmethod
+    def _stepped(matrix, alpha, teleport, iterations):
+        step = spectral.share_step(matrix)
+        x = teleport / teleport.sum()
+        for iteration in range(1, iterations + 1):
+            if alpha == 1.0 and iteration > spectral._PLAIN_STEPS:
+                weight, anchor = 0.5, x
+            else:
+                weight, anchor = alpha, teleport
+            x = weight * step(x) + (1.0 - weight) * anchor
+            x = x / x.sum()
+        return x
+
+    @pytest.mark.parametrize("alpha", (0.5, 0.85, 0.99))
+    @pytest.mark.parametrize("layout", ("sparse", "dense"))
+    def test_damped_step(self, monkeypatch, layout, alpha):
+        spec = {
+            "sparse": jr.BlockModelSpec(200, within_mean=0.025, cross_mean=0.0025, seed=3),
+            "dense": jr.BlockModelSpec(20, seed=3),
+        }[layout]
+        journals, matrix, _ = jr.block_model(spec)
+        assert matrix.sparse is (layout == "sparse")
+        teleport = journals.articles_t1 / journals.articles_t1.sum()
+        power, report = _without_jumps(monkeypatch, matrix, alpha, teleport)
+        assert report.iterations > 1
+        assert power.tobytes() == self._stepped(matrix, alpha, teleport, report.iterations).tobytes()
+
+    def test_half_lazy_steps_after_the_plain_ones(self, monkeypatch):
+        # A 3-cycle, J1 -> J2 -> J3 -> J1: plain steps only rotate the
+        # teleport, so the solve runs into the half-lazy phase.
+        matrix = jr.CitationMatrix(np.roll(np.eye(3), 1, axis=1))
+        teleport = np.array([10.0, 20.0, 30.0]) / 60.0
+        monkeypatch.setattr(spectral, "_PLAIN_STEPS", 5)
+        power, report = _without_jumps(monkeypatch, matrix, 1.0, teleport)
+        assert report.iterations > 5
+        assert power.tobytes() == self._stepped(matrix, 1.0, teleport, report.iterations).tobytes()
 
 
 WEAK_CROSS = (2e-4, 5e-5)
