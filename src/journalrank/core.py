@@ -1,5 +1,6 @@
 """The data model (journals, citation matrix, two-field split), its
-validation and shared input checks, and citation-graph structure.
+validation, the matrix preconditions every indicator and solve shares, and
+citation-graph structure.
 
 The citation matrix follows the row = citing, column = cited convention:
 ``counts[i, j]`` is the number of citations from articles in journal ``i``
@@ -10,6 +11,11 @@ database is, stores only its row-major non-zeros and derives its facts
 (``validate``'s unsound cells, the strongly connected components) from
 them; the dense counts of such a matrix are built only on request, by
 direct elimination and ``np.asarray``.
+
+``validate`` reports every issue of an instance; the gates that every
+indicator and solve runs, ``require_sound`` and ``require_citing``, raise
+for the first matrix fault alone, in ``validate``'s words, and scan the
+non-zeros only when the stored facts show a fault.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import IndexOutOfRange, Issue, NotIrreducible, ValidationError, quote
+from .errors import IndexOutOfRange, Issue, NotIrreducible, ValidationError, ZeroOutgoing, quote
 
 
 @dataclass(frozen=True)
@@ -351,11 +357,7 @@ def validate(journals: JournalSet, matrix: CitationMatrix) -> tuple[JournalSet, 
     if mismatch:
         add(Issue("DimensionMismatch", mismatch))
 
-    # With no negative cell, a finite total has only finite cells, and it
-    # bounds every row and column sum too, so the n² scans would find nothing.
-    with np.errstate(over="ignore"):
-        total = matrix.row_sums.sum()
-    if matrix.negative_cell is not None or not np.isfinite(total):
+    if _may_be_unsound(matrix):
         rows, cols, values = matrix.nonzeros
         finite = np.isfinite(values)
         for code, bad, what in (
@@ -369,15 +371,8 @@ def validate(journals: JournalSet, matrix: CitationMatrix) -> tuple[JournalSet, 
                 Issue(code, f"matrix cell ({i}, {j}) {what}", cell=(int(i), int(j))) for i, j in cells[:room]
             )
         if matrix.negative_cell is None and finite.all():
-            # Every cell is sound, yet the sums exceed the float range.
-            received = np.bincount(cols, weights=values, minlength=matrix.n)
-            for what, sums in (("made", matrix.row_sums), ("received", received)):
-                for i in np.flatnonzero(~np.isfinite(sums)):
-                    journal = journals.journals[i].id if mismatch is None else None
-                    who = f"journal {quote(journal)}" if journal is not None else f"matrix index {i}"
-                    add(Issue("SumOverflow", f"citations {what} by {who} sum beyond the float range", journal=journal))
-            if not found["SumOverflow"]:
-                add(Issue("SumOverflow", "the matrix's citations sum beyond the float range"))
+            for issue in _sum_overflows(matrix, journals if mismatch is None else None):
+                add(issue)
 
     if issues:
         raise ValidationError(issues, sum(found.values()))
@@ -389,6 +384,57 @@ def size_mismatch(journals: JournalSet, matrix: CitationMatrix) -> str | None:
     if matrix.n == journals.n:
         return None
     return f"journal set has {journals.n} journals but matrix is {matrix.n}x{matrix.n}"
+
+
+def _may_be_unsound(matrix: CitationMatrix) -> bool:
+    # With no negative cell, a finite total has only finite cells, and it
+    # bounds every row and column sum too, so the scans would find nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return matrix.negative_cell is not None or not np.isfinite(matrix.row_sums.sum())
+
+
+def _sum_overflows(matrix: CitationMatrix, journals: JournalSet | None) -> list[Issue]:
+    """``validate``'s SumOverflow issues for a matrix of sound cells: each row,
+    then each column, beyond the float range, else the total. Journals are
+    named by id when given, else by matrix index."""
+    _, cols, values = matrix.nonzeros
+    received = np.bincount(cols, weights=values, minlength=matrix.n)
+    issues = []
+    for what, sums in (("made", matrix.row_sums), ("received", received)):
+        for i in np.flatnonzero(~np.isfinite(sums)):
+            journal = journals.journals[i].id if journals is not None else None
+            who = f"journal {quote(journal)}" if journal is not None else f"matrix index {i}"
+            message = f"citations {what} by {who} sum beyond the float range"
+            issues.append(Issue("SumOverflow", message, journal=journal))
+    return issues or [Issue("SumOverflow", "the matrix's citations sum beyond the float range")]
+
+
+def require_sound(matrix: CitationMatrix, journals: JournalSet | None = None) -> np.ndarray:
+    """Return the row sums, or raise ValueError in ``validate``'s words for
+    the first fault: a size mismatch with ``journals``, no journals, the
+    first non-finite or negative cell in row-major order, and the first sum
+    beyond the float range (rows, then columns, then the total), naming a
+    journal by id when ``journals`` is given."""
+    mismatch = journals is not None and size_mismatch(journals, matrix)
+    if mismatch:
+        raise ValueError(mismatch)
+    if matrix.n == 0:
+        raise ValueError("the citation matrix has no journals")
+    if _may_be_unsound(matrix):
+        rows, cols, values = matrix.nonzeros
+        unsound = np.flatnonzero(~np.isfinite(values) | (values < 0))
+        if unsound.size:
+            k = unsound[0]
+            what = "is negative" if np.isfinite(values[k]) else "is not finite"
+            raise ValueError(f"matrix cell ({rows[k]}, {cols[k]}) {what}")
+        raise ValueError(_sum_overflows(matrix, journals)[0].message)
+    return matrix.row_sums
+
+
+def require_citing(matrix: CitationMatrix, journals: JournalSet | None = None) -> np.ndarray:
+    """``require_sound``, then ZeroOutgoing for the first journal that cites
+    nothing; returns the row sums, all positive and finite."""
+    return require_nonzero(require_sound(matrix, journals), journals, ZeroOutgoing)
 
 
 def _reaches_all(n: int, step) -> bool:
@@ -410,19 +456,12 @@ def _positive_links(matrix: CitationMatrix) -> tuple[np.ndarray, np.ndarray]:
     return rows[positive], cols[positive]
 
 
-def require_same_size(journals: JournalSet, matrix: CitationMatrix) -> None:
-    """Raise ValueError, with ``validate``'s text, for a size mismatch."""
-    mismatch = size_mismatch(journals, matrix)
-    if mismatch:
-        raise ValueError(mismatch)
-
-
-def require_nonzero(values: np.ndarray, journals: JournalSet, error) -> np.ndarray:
+def require_nonzero(values: np.ndarray, journals: JournalSet | None, error) -> np.ndarray:
     """Return values, or raise error for the first journal whose value is 0."""
     zero = np.flatnonzero(values == 0)
     if zero.size:
         i = int(zero[0])
-        raise error(i, journals.journals[i].id)
+        raise error(i, journals.journals[i].id if journals is not None else None)
     return values
 
 

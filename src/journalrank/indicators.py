@@ -28,7 +28,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from . import core, spectral
-from .errors import ZeroArticles, ZeroArticlesT2, ZeroOutgoing
+from .errors import ZeroArticles, ZeroArticlesT2
 
 DEFAULT_ALPHA = 0.85
 DEFAULT_BETA = 0.9
@@ -86,14 +86,14 @@ def _article_share(journals: core.JournalSet) -> np.ndarray:
     a1 = journals.articles_t1
     total = a1.sum()
     if total == 0:
-        raise ZeroArticles(0, journals.journals[0].id if journals.n else None)
+        raise ZeroArticles(0, journals.journals[0].id)
     return a1 / total
 
 
 def impact_factor(journals: core.JournalSet, matrix: core.CitationMatrix) -> IndicatorVector:
     """Received citations per earlier-period article."""
-    core.require_same_size(journals, matrix)
     a1 = core.require_nonzero(journals.articles_t1, journals, ZeroArticles)
+    core.require_sound(matrix, journals)
     if matrix.sparse:
         # Adds each column's cells in row order, as the dense column sum
         # does, so both give the same bits.
@@ -113,10 +113,9 @@ def audience_factor(journals: core.JournalSet, matrix: core.CitationMatrix) -> I
     with S the row-normalized counts, are the scaled alpha = 0 flow of the
     a2 teleport, taken from EF's product ``spectral.share_step``.
     """
-    core.require_same_size(journals, matrix)
     a1 = core.require_nonzero(journals.articles_t1, journals, ZeroArticles)
     a2 = core.require_nonzero(journals.articles_t2, journals, ZeroArticlesT2)
-    sums = core.require_nonzero(matrix.row_sums, journals, ZeroOutgoing)
+    sums = core.require_citing(matrix, journals)
     overall_rate = sums.sum() / a2.sum()
     return IndicatorVector("AF", overall_rate * spectral.share_step(matrix)(a2) / a1)
 
@@ -133,8 +132,7 @@ def influence_weights(
     sum_i w[i] * s[i] equals sum_i s[i]. w is the undamped (alpha = 1)
     stationary vector of the row-normalized counts divided by the row sums.
     """
-    core.require_same_size(journals, matrix)
-    sums = core.require_nonzero(matrix.row_sums, journals, ZeroOutgoing)
+    sums = core.require_citing(matrix, journals)
     uniform = np.full(matrix.n, 1.0 / matrix.n)
     q, report = spectral.stationary(matrix, 1.0, uniform, solver)
     direction = q / sums
@@ -175,8 +173,7 @@ def eigenfactor(
     under p, p @ S through the solver's own product ``spectral.share_step``.
     alpha = 1 requires an irreducible matrix.
     """
-    core.require_same_size(journals, matrix)
-    core.require_nonzero(matrix.row_sums, journals, ZeroOutgoing)
+    core.require_citing(matrix, journals)
     teleport = _article_share(journals)
     p, report = spectral.stationary(matrix, alpha, teleport, solver)
     scores = 100.0 * spectral.share_step(matrix)(p)
@@ -214,8 +211,7 @@ def weighted_pagerank(
     # Written so that a NaN beta or gamma fails the check too.
     if not (beta >= 0 and gamma >= 0 and beta + gamma <= 1 + 1e-12):
         raise ValueError("need beta >= 0, gamma >= 0 and beta + gamma <= 1")
-    core.require_same_size(journals, matrix)
-    core.require_nonzero(matrix.row_sums, journals, ZeroOutgoing)
+    core.require_citing(matrix, journals)
     n = journals.n
     if beta == 1.0:
         teleport = np.full(n, 1.0 / n)

@@ -86,26 +86,12 @@ def min_delta(matrix: core.CitationMatrix, partition: FieldPartition) -> float:
 
     delta is the largest share of any journal's outgoing citations that
     leaves its own field. Zero means block-diagonal citation traffic.
-    Raises ValueError, in ``validate``'s words, for the first non-finite or
-    negative cell or, when every cell is sound, the first row whose
-    citations sum beyond the float range; ZeroOutgoing for the first
-    dangling row.
+    Runs ``core.require_citing`` on the matrix.
     """
     if partition.n != matrix.n:
         raise ValueError("partition length must match the matrix")
-    sums = matrix.row_sums
+    sums = core.require_citing(matrix)
     rows, cols, values = matrix.nonzeros
-    overflow = np.flatnonzero(~np.isfinite(sums))
-    if matrix.negative_cell is not None or overflow.size:
-        unsound = np.flatnonzero(~np.isfinite(values) | (values < 0))
-        if unsound.size:
-            k = unsound[0]
-            what = "is negative" if np.isfinite(values[k]) else "is not finite"
-            raise ValueError(f"matrix cell ({rows[k]}, {cols[k]}) {what}")
-        raise ValueError(f"citations made by matrix index {overflow[0]} sum beyond the float range")
-    dangling = np.flatnonzero(sums == 0)
-    if dangling.size:
-        raise ZeroOutgoing(int(dangling[0]))
     labels = np.array(partition.field_of)
     own = np.bincount(rows, weights=np.where(labels[rows] == labels[cols], values, 0.0), minlength=matrix.n)
     cross = sums - own
@@ -130,10 +116,9 @@ def field_insensitivity_check(
     Uses the tight delta from ``min_delta``. The bound predicates carry a
     small floating-point slack so exact-equality cases count as holding.
     """
-    core.require_same_size(journals, matrix)
+    core.require_citing(matrix, journals)
     if indicator.n != journals.n:
         raise ValueError("indicator length must match the journal set")
-    core.require_nonzero(matrix.row_sums, journals, ZeroOutgoing)
     delta = min_delta(matrix, partition)
     a1 = journals.articles_t1
     values = indicator.values

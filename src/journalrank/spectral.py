@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .errors import NoConvergence, ZeroOutgoing
+from .errors import NoConvergence
 
 # Largest journal count that method "auto" solves by direct elimination: the
 # largest size of the grid n = 64, 96, 128, 160, 200, 256 at which direct was
@@ -118,30 +118,11 @@ class SolverReport:
     method_used: str
 
 
-def _require_sound_cells(matrix: core.CitationMatrix) -> None:
-    """Raise ValueError for a non-finite cell or the first negative one."""
-    # A NaN or infinite cell makes its row sum non-finite.
-    if not np.all(np.isfinite(matrix.row_sums)):
-        raise ValueError("shares must be finite")
-    if matrix.negative_cell is not None:
-        i, j = matrix.negative_cell
-        raise ValueError(f"shares cell ({i}, {j}) is negative")
-
-
 def reference_shares(matrix: core.CitationMatrix) -> np.ndarray:
-    """Row-normalize the citation matrix.
-
-    Entry [j, i] is the share of journal j's outgoing citations received by
-    journal i. Raises ValueError for a non-finite or negative cell, as
-    ``stationary`` does, and ZeroOutgoing for the first dangling row: a
-    journal without outgoing citations has no reference shares.
-    """
-    _require_sound_cells(matrix)
-    sums = matrix.row_sums
-    dangling = np.flatnonzero(sums == 0)
-    if dangling.size:
-        raise ZeroOutgoing(int(dangling[0]))
-    return matrix.counts / sums[:, None]
+    """Row-normalize the citation matrix after ``stationary``'s checks,
+    ``core.require_citing``: entry [j, i] is the share of journal j's
+    outgoing citations received by journal i."""
+    return matrix.counts / core.require_citing(matrix)[:, None]
 
 
 def share_step(matrix: core.CitationMatrix):
@@ -243,9 +224,9 @@ def stationary(
     Parameters
     ----------
     shares : a CitationMatrix, or a square array that is wrapped in one.
-        Its cells must be finite and non-negative and its rows must have
-        positive sums; a negative cell raises ValueError naming the first
-        one. The row normalization is implicit: the power path iterates
+        ``core.require_citing`` checks it, naming the first unsound cell or
+        overflowing sum (ValueError) or row without citations (ZeroOutgoing).
+        The row normalization is implicit: the power path iterates
         ``share_step``, so no share matrix is built (only the direct path
         forms S, for its own small solve). Every call runs every check, but
         the scans behind them run once per CitationMatrix: the non-zero
@@ -270,10 +251,7 @@ def stationary(
         raise ValueError("teleport must be finite")
     if np.any(teleport < 0) or abs(teleport.sum() - 1.0) > 1e-9:
         raise ValueError("teleport must be a probability vector")
-    _require_sound_cells(matrix)
-    empty = np.flatnonzero(matrix.row_sums <= 0)
-    if empty.size:
-        raise ValueError(f"shares row {int(empty[0])} has no positive sum")
+    core.require_citing(matrix)
 
     if alpha == 0.0:
         return teleport.copy(), SolverReport(0, 0.0, "exact")

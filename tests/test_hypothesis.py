@@ -19,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import journalrank as jr
-from journalrank import core, dataio
+from journalrank import core, dataio, spectral
 from journalrank.core import SPARSE_DENSITY
+from journalrank.errors import quote
 from journalrank.spectral import SolverConfig, stationary
 
 DIRECT = SolverConfig(method="direct")
@@ -353,3 +354,77 @@ def test_audience_factor_field_means_stay_within_one_plus_minus_delta(instance):
     report = jr.field_insensitivity_check(journals, matrix, partition, jr.audience_factor(journals, matrix))
     assert report.balanced and report.eta is not None
     assert report.bounds_hold == (True, True), report
+
+
+FAULTS = ("nan", "inf", "-inf", "negative", "negative zeroes its row", "row overflow", "column overflow", "zero row")
+
+
+@st.composite
+def faulty_counts(draw, fault):
+    """Positive counts of 2-6 journals with the fault injected, and the row
+    it was injected in."""
+    n = draw(st.integers(2, 6))
+    counts = np.array(draw(st.lists(st.integers(1, 1000), min_size=n * n, max_size=n * n)), dtype=float).reshape(n, n)
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    other = draw(st.integers(0, n - 1).filter(lambda k: k != j))
+    if fault in ("nan", "inf", "-inf"):
+        counts[i, j] = float(fault)
+    elif fault == "negative":
+        counts[i, j] = -draw(st.integers(1, 1000))
+    elif fault == "negative zeroes its row":
+        counts[i] = 0.0
+        counts[i, j] = -counts[i - 1, j]
+        counts[i, other] = counts[i - 1, j]
+    elif fault == "row overflow":
+        counts[i, j] = counts[i, other] = 1e308
+    elif fault == "column overflow":
+        counts[i, j] = counts[(i + 1) % n, j] = 1e308
+    else:
+        counts[i] = 0.0
+    return counts, i
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@PROPERTY
+@given(data=st.data())
+def test_every_entry_point_names_the_first_matrix_fault_in_validates_words(fault, data):
+    counts, row = data.draw(faulty_counts(fault))
+    n = counts.shape[0]
+    journals = jr.JournalSet(tuple(jr.Journal(f"J{k}", None, k + 1, k + 2) for k in range(n)))
+    partition = jr.FieldPartition(tuple(1 + k % 2 for k in range(n)))
+    uniform = np.full(n, 1.0 / n)
+    for layout, density in (("dense", 0.0), ("sparse", 2.0)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "SPARSE_DENSITY", density)
+            matrix = jr.CitationMatrix(counts)
+        assert matrix.sparse == (layout == "sparse")
+        try:
+            jr.validate(journals, matrix)
+        except jr.ValidationError as err:
+            assert fault != "zero row" and err.issue_count == 1
+            (issue,) = err.issues
+            named = unnamed = (ValueError, issue.message)
+            if issue.journal is not None:
+                index = f"matrix index {journals.index_of(issue.journal)}"
+                unnamed = (ValueError, issue.message.replace(f"journal {quote(issue.journal)}", index))
+        else:
+            assert fault == "zero row"
+            named = (jr.ZeroOutgoing, str(jr.ZeroOutgoing(row, f"J{row}")))
+            unnamed = (jr.ZeroOutgoing, str(jr.ZeroOutgoing(row)))
+        with_journals = {
+            kind: lambda kind=kind, params=params: jr.compute(kind, journals, matrix, **params)
+            for kind, params in KINDS
+        }
+        with_journals["field_insensitivity_check"] = lambda: jr.field_insensitivity_check(
+            journals, matrix, partition, jr.IndicatorVector("IF", np.ones(n))
+        )
+        without_journals = {
+            "stationary direct": lambda: stationary(matrix, 0.85, uniform, DIRECT),
+            "stationary power": lambda: stationary(matrix, 0.85, uniform, POWER),
+            "reference_shares": lambda: spectral.reference_shares(matrix),
+            "min_delta": lambda: jr.min_delta(matrix, partition),
+        }
+        for calls, expected in ((with_journals, named), (without_journals, unnamed)):
+            for name, call in calls.items():
+                if not (fault == "zero row" and name == "if"):
+                    assert outcome(call) == expected, (layout, fault, name)

@@ -399,6 +399,13 @@ class TestEdgeCases:
             jr.validate(journals, matrix)
         assert invalid.value.issues[0].message == str(err.value)
 
+    @pytest.mark.parametrize("kind,params", ALL_KINDS)
+    def test_empty_instance_rejected(self, kind, params):
+        # validate accepts an instance without journals; no kind scores one.
+        journals, matrix = jr.validate(jr.JournalSet(()), jr.CitationMatrix(np.zeros((0, 0))))
+        with pytest.raises(ValueError, match="^the citation matrix has no journals$"):
+            jr.compute(kind, journals, matrix, **params)
+
     @pytest.mark.parametrize(
         "kind,params,rejected",
         (

@@ -117,4 +117,6 @@ def test_the_field_split_is_one_class_and_the_checks_stay_private_to_the_package
     assert jr.FieldPartition is core.FieldPartition is properties.FieldPartition
     assert "require_same_size" not in jr.__all__
     assert "require_nonzero" not in jr.__all__
+    assert "require_sound" not in jr.__all__
+    assert "require_citing" not in jr.__all__
     assert all(hasattr(jr, name) for name in jr.__all__)

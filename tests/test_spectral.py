@@ -144,8 +144,9 @@ class TestStationary:
                     from_shares, _ = stationary(reference_shares(matrix), alpha, teleport, config)
                     assert np.abs(from_counts - from_shares).max() <= 1e-12, (name, alpha, method)
         counts = np.array([[1.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="row 1 has no positive sum"):
+        with pytest.raises(ZeroOutgoing) as err:
             stationary(counts, 0.5, np.array([0.5, 0.5]))
+        assert err.value.index == 1
 
     @pytest.mark.parametrize("method", ("direct", "power"))
     @pytest.mark.parametrize("alpha", (0.5, 1.0))
@@ -168,7 +169,7 @@ class TestStationary:
     def test_negative_cell_rejected(self, method, alpha, counts, cell):
         # Every row sum is positive, so only a cell check catches these.
         config = SolverConfig(method=method)
-        with pytest.raises(ValueError, match=re.escape(f"shares cell {cell} is negative")):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'matrix cell {cell} is negative')}$"):
             stationary(np.array(counts), alpha, np.full(3, 1.0 / 3.0), config)
         journals = jr.JournalSet(tuple(jr.Journal(f"J{k}", None, 5, 5) for k in range(3)))
         with pytest.raises(ValueError, match="is negative"):
@@ -177,9 +178,9 @@ class TestStationary:
     @pytest.mark.parametrize(
         "counts, message",
         (
-            ([[np.inf, 1.0], [1.0, 1.0]], "shares must be finite"),
-            ([[1.0, np.nan], [1.0, 1.0]], "shares must be finite"),
-            ([[2.0, -1.0], [1.0, 1.0]], "shares cell (0, 1) is negative"),
+            ([[np.inf, 1.0], [1.0, 1.0]], "matrix cell (0, 0) is not finite"),
+            ([[1.0, np.nan], [1.0, 1.0]], "matrix cell (0, 1) is not finite"),
+            ([[2.0, -1.0], [1.0, 1.0]], "matrix cell (0, 1) is negative"),
         ),
     )
     def test_reference_shares_runs_the_same_cell_checks(self, counts, message):
@@ -408,7 +409,7 @@ class TestOperatorFacts:
         negative = jr.CitationMatrix(np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [4.0, -1.0, -0.5]]))
         reducible = jr.CitationMatrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]))
         for _ in range(2):
-            with pytest.raises(ValueError, match=re.escape("shares cell (2, 1) is negative")):
+            with pytest.raises(ValueError, match=f"^{re.escape('matrix cell (2, 1) is negative')}$"):
                 stationary(negative, 0.85, uniform, config)
             with pytest.raises(NotIrreducible) as err:
                 stationary(reducible, 1.0, uniform, config)
