@@ -150,8 +150,8 @@ def _emit(args, header, rows, payload) -> int:
         table = [header] + [[_cell(value, precision) for value in row] for row in rows]
         dataio.csv_writer(sys.stdout, [text for row in table for text in row]).writerows(table)
     else:
-        json.dump(payload, sys.stdout)
-        sys.stdout.write("\n")
+        # json.dumps runs the C encoder; json.dump always writes through the Python one.
+        sys.stdout.write(json.dumps(payload) + "\n")
     return 0
 
 
@@ -370,8 +370,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (JournalRankError, ValueError, KeyError, OSError) as exc:
-        json.dump(_error_record(exc), sys.stderr)
-        sys.stderr.write("\n")
+        sys.stderr.write(json.dumps(_error_record(exc)) + "\n")
         return 2 if isinstance(exc, NoConvergence) else 1
 
 

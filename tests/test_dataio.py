@@ -474,9 +474,9 @@ class TestNotUtf8:
 
 
 def write_matrix_per_cell(path, ids, counts):
-    """The per-cell reference writer."""
+    """The per-cell reference writer, in the files' dialect."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
+        writer = dataio.csv_writer(handle, ids)
         writer.writerow(["citing\\cited"] + list(ids))
         for ident, row in zip(ids, counts):
             cells = [str(int(v)) if float(v).is_integer() else repr(float(v)) for v in row]
@@ -528,6 +528,17 @@ class TestWriteMatrix:
             written[layout] = (tmp_path / f"{layout}.csv").read_bytes()
         assert written["sparse"] == written["dense"]
 
+    @pytest.mark.parametrize("ids, size", [(["a", "b"], 3), (["a", "b", "c"], 2)])
+    def test_size_mismatch_raises_before_the_file_is_opened(self, tmp_path, ids, size):
+        journals = jr.JournalSet(tuple(jr.Journal(i, None, 1, 1) for i in ids))
+        matrix = jr.CitationMatrix(np.ones((size, size)))
+        (tmp_path / "m.csv").write_bytes(b"old")
+        with pytest.raises(ValueError) as err:
+            dataio.write_matrix(tmp_path / "m.csv", journals, matrix)
+        assert str(err.value) == f"journal set has {len(ids)} journals but matrix is {size}x{size}"
+        assert str(err.value) == core.size_mismatch(journals, matrix)
+        assert (tmp_path / "m.csv").read_bytes() == b"old"
+
     def test_non_integral_matrix_does_not_read_back(self, tmp_path):
         journals = abc_journals()
         counts = np.ones((3, 3))
@@ -538,3 +549,75 @@ class TestWriteMatrix:
         (issue,) = err.value.issues
         assert issue.code == "NonIntegerCount"
         assert issue.message == "citation count ('b' -> 'c') is not an integer: '1.5'"
+
+
+B = dataio._BLOCK_ROWS
+BLOCK_SIZES = [1, B - 1, B, B + 1, 2 * B + 3]
+# Ids of each style, the last one made special: a comma and quotes (quoted
+# by the minimal dialect) or a carriage return (every field quoted).
+ID_STYLES = {"plain": None, "quoted": 'say "hi", then', "carriage": "a\rb"}
+# Cells that a plain file cannot hold: negative, negative zero, 16 digits,
+# and the largest int64 a float64 holds, after a 15-digit one that it can.
+SPECIAL_CELLS = [10.0**15 - 1, -12345.0, -0.0, 10.0**15 + 1, 2.0**63 - 1024]
+
+
+def block_instance(n, id_style, special):
+    """Journals J0..J(n-1) and multi-digit counts, with the special cells in
+    rows on both sides of each block boundary when ``special``."""
+    ids = [f"J{k}" for k in range(n)]
+    if ID_STYLES[id_style]:
+        ids[-1] = ID_STYLES[id_style]
+    counts = np.random.default_rng(n).integers(0, 10**6, size=(n, n)).astype(float)
+    if special:
+        for row, value in zip([0, B - 1, B, 2 * B, n - 1], SPECIAL_CELLS):
+            counts[row % n, (7 * row) % n] = value
+    return jr.JournalSet(tuple(jr.Journal(i, None, 1, 1) for i in ids)), counts
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    @pytest.mark.parametrize("special", [False, True], ids=["plain-cells", "special-cells"])
+    @pytest.mark.parametrize("id_style", list(ID_STYLES))
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_write_and_read_across_block_boundaries(self, tmp_path, monkeypatch, n, id_style, special, layout):
+        journals, counts = block_instance(n, id_style, special)
+        monkeypatch.setattr(core, "SPARSE_DENSITY", 2.0 if layout == "sparse" else 0.0)
+        matrix = jr.CitationMatrix(counts)
+        assert matrix.sparse is (layout == "sparse")
+        dataio.write_matrix(tmp_path / "m.csv", journals, matrix)
+        assert ("counts" in matrix.__dict__) is (layout == "dense")
+        write_matrix_per_cell(tmp_path / "reference.csv", journals.ids, counts)
+        assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert read_both(tmp_path / "m.csv", journals) is (id_style == "plain" and not special)
+        np.testing.assert_array_equal(dataio.read_matrix(tmp_path / "m.csv", journals).counts, counts)
+
+    @pytest.mark.parametrize("row", [B - 1, 2 * B + 1], ids=["boundary", "last-block"])
+    @pytest.mark.parametrize(
+        "fault, plain",
+        [
+            ("short-then-long", False),
+            ("empty-cell", False),
+            ("sixteen-digits", False),
+            ("joined-rows", False),
+            ("no-final-line-feed", True),
+        ],
+    )
+    def test_near_plain_files_read_as_the_csv_path_does(self, tmp_path, row, fault, plain):
+        # Row ``row`` is the last of block 0, or sits in the last block; the
+        # fault touches it and the row after it, which opens block 1 or ends the file.
+        journals, counts = block_instance(2 * B + 3, "plain", False)
+        dataio.write_matrix(tmp_path / "m.csv", journals, jr.CitationMatrix(counts))
+        lines = (tmp_path / "m.csv").read_bytes().split(b"\n")
+        line = 1 + row
+        if fault == "short-then-long":
+            lines[line] = lines[line].rsplit(b",", 1)[0]
+            lines[line + 1] += b",7"
+        elif fault == "empty-cell":
+            lines[line] = lines[line].rsplit(b",", 1)[0] + b","
+        elif fault == "sixteen-digits":
+            lines[line] += b"0" * 16
+        elif fault == "joined-rows":
+            lines[line : line + 2] = [lines[line] + lines[line + 1]]
+        data = b"\n".join(lines)
+        (tmp_path / "m.csv").write_bytes(data[:-1] if fault == "no-final-line-feed" else data)
+        assert read_both(tmp_path / "m.csv", journals) is plain
