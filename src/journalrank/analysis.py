@@ -131,15 +131,22 @@ def correlation_table(vectors: Sequence[indicators.IndicatorVector]) -> Correlat
     return CorrelationMatrix(labels, p, s)
 
 
+def ranked(ids: Sequence[str], values) -> list[int]:
+    """Positions of the values, best first, in the order that ``top_k`` gives."""
+    # Python's string order: numpy's fixed-width strings drop trailing NULs,
+    # so "J1" and "J1\x00" would compare equal.
+    id_rank = np.empty(len(ids), dtype=np.intp)
+    id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return np.lexsort((id_rank, -average_ranks(values))).tolist()
+
+
 def top_k(
     journals: core.JournalSet, indicator: indicators.IndicatorVector, k: int
 ) -> list[tuple[str, float]]:
-    """Best k journals by score, descending; ties broken by id ascending,
-    then by position.
+    """Best k journals by score, descending, in the one tie rule of every
+    ranking (``ranked``): scores within TIE_TOLERANCE tie, as in the rank
+    correlations, and tied journals go by id ascending, then by position.
 
-    One stable ``np.lexsort`` on (-score, id rank). The id ranks come from
-    Python's string order, which numpy's fixed-width strings do not keep
-    (they drop trailing NULs, so "J1" and "J1\\x00" would compare equal).
     Raises TypeError unless ``k`` is an integer (bool is not one), and
     ValueError unless 0 <= k <= n.
     """
@@ -149,9 +156,5 @@ def top_k(
         raise ValueError("indicator length must match the journal set")
     if not 0 <= k <= journals.n:
         raise ValueError(f"k must lie in [0, {journals.n}]")
-    ids = journals.ids
-    values = indicator.values
-    id_rank = np.empty(len(ids), dtype=np.intp)
-    id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    order = np.lexsort((id_rank, -values))[:k]
-    return [(ids[i], float(values[i])) for i in order.tolist()]
+    ids, values = journals.ids, indicator.values
+    return [(ids[i], float(values[i])) for i in ranked(ids, values)[:k]]

@@ -15,7 +15,11 @@ direct elimination and ``np.asarray``.
 ``validate`` reports every issue of an instance; the gates that every
 indicator and solve runs, ``require_sound`` and ``require_citing``, raise
 for the first matrix fault alone, in ``validate``'s words, and scan the
-non-zeros only when the stored facts show a fault.
+non-zeros only when the stored facts show a fault. Their journals-side
+twins, ``require_articles`` and ``require_published``, gate one period's
+article counts: AF reads both periods, IW none, the rest the earlier one
+(WPR only when gamma > 0). The CLI validates first, so only library calls
+reach the gates.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import IndexOutOfRange, Issue, NotIrreducible, ValidationError, ZeroOutgoing, quote
+from .errors import (
+    IndexOutOfRange, Issue, NotIrreducible, ValidationError, ZeroArticles, ZeroArticlesT2, ZeroOutgoing, quote
+)
 
 
 @dataclass(frozen=True)
@@ -347,11 +353,10 @@ def validate(journals: JournalSet, matrix: CitationMatrix) -> tuple[JournalSet, 
             )
         else:
             seen[journal.id] = k
-        for label, count in (("articles_t1", journal.articles_t1), ("articles_t2", journal.articles_t2)):
-            if not math.isfinite(count):
-                add(Issue("NonFiniteCount", f"{label} of journal {quote(journal.id)} is not finite", journal=journal.id))
-            elif count < 0:
-                add(Issue("NegativeCount", f"{label} of journal {quote(journal.id)} is negative", journal=journal.id))
+        for period, count in enumerate((journal.articles_t1, journal.articles_t2), 1):
+            issue = _count_issue(journal.id, period, count)
+            if issue:
+                add(issue)
 
     mismatch = size_mismatch(journals, matrix)
     if mismatch:
@@ -435,6 +440,35 @@ def require_citing(matrix: CitationMatrix, journals: JournalSet | None = None) -
     """``require_sound``, then ZeroOutgoing for the first journal that cites
     nothing; returns the row sums, all positive and finite."""
     return require_nonzero(require_sound(matrix, journals), journals, ZeroOutgoing)
+
+
+def _count_issue(journal_id: str, period: int, count: float) -> Issue | None:
+    """``validate``'s issue for one article count of period 1 or 2, or None."""
+    if not math.isfinite(count):
+        code, what = "NonFiniteCount", "is not finite"
+    elif count < 0:
+        code, what = "NegativeCount", "is negative"
+    else:
+        return None
+    return Issue(code, f"articles_t{period} of journal {quote(journal_id)} {what}", journal=journal_id)
+
+
+def require_articles(journals: JournalSet, period: int) -> np.ndarray:
+    """Return the article counts of period 1 or 2, or raise ValueError in
+    ``validate``'s words for the first non-finite or negative one."""
+    counts = getattr(journals, f"articles_t{period}")
+    unsound = np.flatnonzero(~np.isfinite(counts) | (counts < 0))
+    if unsound.size:
+        k = unsound[0]
+        raise ValueError(_count_issue(journals.journals[k].id, period, counts[k]).message)
+    return counts
+
+
+def require_published(journals: JournalSet, period: int) -> np.ndarray:
+    """``require_articles``, then ZeroArticles or ZeroArticlesT2 for the first
+    journal without articles; returns the counts, all positive and finite."""
+    error = ZeroArticles if period == 1 else ZeroArticlesT2
+    return require_nonzero(require_articles(journals, period), journals, error)
 
 
 def _reaches_all(n: int, step) -> bool:

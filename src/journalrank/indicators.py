@@ -28,7 +28,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from . import core, spectral
-from .errors import ZeroArticles, ZeroArticlesT2
+from .errors import ZeroArticles
 
 DEFAULT_ALPHA = 0.85
 DEFAULT_BETA = 0.9
@@ -83,7 +83,7 @@ class IndicatorVector:
 
 
 def _article_share(journals: core.JournalSet) -> np.ndarray:
-    a1 = journals.articles_t1
+    a1 = core.require_articles(journals, 1)
     total = a1.sum()
     if total == 0:
         raise ZeroArticles(0, journals.journals[0].id)
@@ -92,7 +92,7 @@ def _article_share(journals: core.JournalSet) -> np.ndarray:
 
 def impact_factor(journals: core.JournalSet, matrix: core.CitationMatrix) -> IndicatorVector:
     """Received citations per earlier-period article."""
-    a1 = core.require_nonzero(journals.articles_t1, journals, ZeroArticles)
+    a1 = core.require_published(journals, 1)
     core.require_sound(matrix, journals)
     if matrix.sparse:
         # Adds each column's cells in row order, as the dense column sum
@@ -113,8 +113,8 @@ def audience_factor(journals: core.JournalSet, matrix: core.CitationMatrix) -> I
     with S the row-normalized counts, are the scaled alpha = 0 flow of the
     a2 teleport, taken from EF's product ``spectral.share_step``.
     """
-    a1 = core.require_nonzero(journals.articles_t1, journals, ZeroArticles)
-    a2 = core.require_nonzero(journals.articles_t2, journals, ZeroArticlesT2)
+    a1 = core.require_published(journals, 1)
+    a2 = core.require_published(journals, 2)
     sums = core.require_citing(matrix, journals)
     overall_rate = sums.sum() / a2.sum()
     return IndicatorVector("AF", overall_rate * spectral.share_step(matrix)(a2) / a1)
@@ -153,7 +153,7 @@ def influence_per_publication(
     move when an insignificant journal enters or leaves the set; multiply by
     the journal count to recover the classic per-reference-mean scale.
     """
-    a1 = core.require_nonzero(journals.articles_t1, journals, ZeroArticles)
+    a1 = core.require_published(journals, 1)
     iw = influence_weights(journals, matrix, solver)
     values = iw.values * matrix.row_sums / (journals.n * a1)
     return IndicatorVector("IPP", values, solver=iw.solver)
@@ -189,7 +189,7 @@ def article_influence(
     """Damped stationary score per article: the 0-to-1 damping sweep of this
     indicator interpolates between audience-factor-like and recursive
     influence-like behavior."""
-    a1 = core.require_nonzero(journals.articles_t1, journals, ZeroArticles)
+    a1 = core.require_published(journals, 1)
     ef = eigenfactor(journals, matrix, alpha, solver)
     return IndicatorVector("AI", ef.values / (100.0 * a1), {"alpha": alpha}, ef.solver)
 
@@ -234,7 +234,7 @@ def scimago_jr(
     solver: spectral.SolverConfig | None = None,
 ) -> IndicatorVector:
     """Weighted-PageRank score divided by the earlier-period article count."""
-    a1 = core.require_nonzero(journals.articles_t1, journals, ZeroArticles)
+    a1 = core.require_published(journals, 1)
     wpr = weighted_pagerank(journals, matrix, beta, gamma, solver)
     return IndicatorVector("SJR", wpr.values / a1, {"beta": beta, "gamma": gamma}, wpr.solver)
 

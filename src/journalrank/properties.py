@@ -120,7 +120,7 @@ def field_insensitivity_check(
     if indicator.n != journals.n:
         raise ValueError("indicator length must match the journal set")
     delta = min_delta(matrix, partition)
-    a1 = journals.articles_t1
+    a1 = core.require_articles(journals, 1)
     values = indicator.values
     mean1 = _weighted_mean(values[partition.j1], a1[partition.j1])
     mean2 = _weighted_mean(values[partition.j2], a1[partition.j2])
@@ -144,12 +144,12 @@ def _article_ratio(journals: core.JournalSet) -> float | None:
 
     The per-journal ratios a2 / a1 count as one constant when their spread is
     at most _ETA_TOLERANCE times the largest ratio; a journal without
-    earlier-period articles has no ratio.
+    earlier-period articles has no ratio. The counts pass the article gate.
     """
-    a1 = journals.articles_t1
-    if not np.all(a1 > 0):
+    a1 = core.require_articles(journals, 1)
+    if not a1.all():
         return None
-    ratios = journals.articles_t2 / a1
+    ratios = core.require_articles(journals, 2) / a1
     high = float(ratios.max())
     if high - float(ratios.min()) > _ETA_TOLERANCE * high:
         return None
@@ -259,7 +259,7 @@ def af_endpoint_check(
     Requires the later-period article counts to be one fixed multiple of the
     earlier-period counts; raises PreconditionViolated otherwise.
     """
-    if np.any(journals.articles_t1 <= 0):
+    if not core.require_articles(journals, 1).all():
         raise PreconditionViolated("all journals need earlier-period articles")
     if _article_ratio(journals) is None:
         raise PreconditionViolated(

@@ -238,6 +238,16 @@ class TestTopK:
         assert [ident for ident, _ in top] == ["J1", "J2", "J5", "J6"]
         assert all(value == pytest.approx(5.5, abs=5e-4) for _, value in top)
 
+    def test_scores_one_ulp_apart_tie(self, two_field):
+        # J1, J2, J5 and J6 tie in exact arithmetic; lifting J5 and J6 one
+        # ulp above the largest of the four, as another BLAS kernel's
+        # rounding may, must not put them first.
+        journals, matrix = two_field
+        values = jr.influence_per_publication(journals, matrix).values.copy()
+        values[[4, 5]] = np.nextafter(values[[0, 1, 4, 5]].max(), np.inf)
+        top = jr.top_k(journals, jr.IndicatorVector("IPP", values), 4)
+        assert [ident for ident, _ in top] == ["J1", "J2", "J5", "J6"]
+
     def test_full_ranking_is_a_permutation(self, two_field):
         journals, matrix = two_field
         ranking = jr.top_k(journals, jr.impact_factor(journals, matrix), journals.n)

@@ -26,6 +26,30 @@ ALL_KINDS = (
 )
 
 
+# Each kind with the article periods it divides by, where a zero count
+# raises ZeroArticles / ZeroArticlesT2, and those it only teleports on, where
+# a zero count still scores. WPR reads the earlier period only when gamma > 0.
+ARTICLE_READS = (
+    ("if", {}, (1,), ()),
+    ("af", {}, (1, 2), ()),
+    ("iw", {}, (), ()),
+    ("ipp", {}, (1,), ()),
+    ("ef", {"alpha": 0.85}, (), (1,)),
+    ("ai", {"alpha": 0.85}, (1,), ()),
+    ("wpr", {"beta": 0.5, "gamma": 0.3}, (), (1,)),
+    ("wpr", {"beta": 0.85, "gamma": 0.0}, (), ()),
+    ("sjr", {}, (1,), ()),
+)
+
+
+def with_count(journals, index, period, count):
+    """The journal set with one article count of one journal replaced."""
+    j = journals.journals[index]
+    counts = {"articles_t1": j.articles_t1, "articles_t2": j.articles_t2, f"articles_t{period}": count}
+    replaced = jr.Journal(j.id, j.name, **counts)
+    return jr.JournalSet(journals.journals[:index] + (replaced,) + journals.journals[index + 1 :])
+
+
 def single_journal(citations, a1=5, a2=5):
     journals = jr.JournalSet((jr.Journal("only", None, a1, a2),))
     return journals, jr.CitationMatrix(np.array([[float(citations)]]))
@@ -404,6 +428,55 @@ class TestEdgeCases:
         # validate accepts an instance without journals; no kind scores one.
         journals, matrix = jr.validate(jr.JournalSet(()), jr.CitationMatrix(np.zeros((0, 0))))
         with pytest.raises(ValueError, match="^the citation matrix has no journals$"):
+            jr.compute(kind, journals, matrix, **params)
+
+    def test_article_reads_cover_every_kind(self):
+        assert list(dict.fromkeys(kind for kind, *_ in ARTICLE_READS)) == list(jr.indicators.KINDS)
+
+    @pytest.mark.parametrize("count", (-1.0, np.nan, np.inf, 0.0))
+    @pytest.mark.parametrize("period", (1, 2))
+    @pytest.mark.parametrize("kind,params,divides,teleports", ARTICLE_READS)
+    def test_bad_article_count_named_in_validates_words(
+        self, two_field, kind, params, divides, teleports, period, count
+    ):
+        # The third journal, J3, so that a message naming the first journal
+        # cannot pass.
+        journals, matrix = two_field
+        faulty = with_count(journals, 2, period, count)
+        if count == 0 and period in divides:
+            with pytest.raises((ZeroArticles, ZeroArticlesT2)[period - 1]) as err:
+                jr.compute(kind, faulty, matrix, **params)
+            assert (err.value.index, err.value.journal_id) == (2, "J3")
+        elif count != 0 and period in divides + teleports:
+            with pytest.raises(jr.ValidationError) as invalid:
+                jr.validate(faulty, matrix)
+            (issue,) = invalid.value.issues
+            assert issue.journal == "J3"
+            with pytest.raises(ValueError) as err:
+                jr.compute(kind, faulty, matrix, **params)
+            assert type(err.value) is ValueError and str(err.value) == issue.message
+        elif period in teleports:
+            vector = jr.compute(kind, faulty, matrix, **params)
+            assert vector.n == 8 and vector.values[2] > 0, kind
+        else:
+            # A kind that does not read the period scores as before, bit for bit.
+            vector = jr.compute(kind, faulty, matrix, **params)
+            assert vector.values.tobytes() == jr.compute(kind, journals, matrix, **params).values.tobytes()
+
+    def test_negative_count_no_longer_scored_by_weighted_pagerank(self, two_field):
+        # J3 = -5 leaves the article-share teleport a probability vector, so
+        # only the article gate rejects it.
+        journals, matrix = two_field
+        with pytest.raises(ValueError, match="^articles_t1 of journal 'J3' is negative$"):
+            jr.weighted_pagerank(with_count(journals, 2, 1, -5), matrix, 0.85, 0.1)
+
+    @pytest.mark.parametrize("kind,params", (("ef", {}), ("wpr", {"beta": 0.85, "gamma": 0.1})))
+    def test_counts_summing_to_zero_name_the_negative_one(self, two_field, kind, params):
+        # 5 and -5 sum to zero; J1, which has 5 articles, is not at fault.
+        _, matrix = two_field
+        counts = [5, -5, 0, 0, 0, 0, 0, 0]
+        journals = jr.JournalSet(tuple(jr.Journal(f"J{k + 1}", None, a, 5) for k, a in enumerate(counts)))
+        with pytest.raises(ValueError, match="^articles_t1 of journal 'J2' is negative$"):
             jr.compute(kind, journals, matrix, **params)
 
     @pytest.mark.parametrize(

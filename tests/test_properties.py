@@ -195,6 +195,25 @@ class TestFieldInsensitivityCheck:
         with pytest.raises(PreconditionViolated, match="^weighted mean needs positive article counts$"):
             jr.field_insensitivity_check(journals, matrix, jr.two_field_partition(), iw)
 
+    @pytest.mark.parametrize(
+        "a1, a2, message",
+        (
+            (np.nan, 100, "articles_t1 of journal 'J3' is not finite"),
+            (-50, 100, "articles_t1 of journal 'J3' is negative"),
+            (1, np.nan, "articles_t2 of journal 'J3' is not finite"),
+            (1, np.inf, "articles_t2 of journal 'J3' is not finite"),
+        ),
+    )
+    def test_bad_article_count_named_in_validates_words(self, two_field, a1, a2, message):
+        # The earlier-period counts weight the field means, which a NaN would
+        # make NaN and a negative count skew; the later-period ones give eta,
+        # which a NaN or infinite count would make NaN or infinite.
+        journals, matrix = two_field
+        iw = jr.influence_weights(journals, matrix)
+        journals = JournalSet(journals.journals[:2] + (Journal("J3", None, a1, a2),) + journals.journals[3:])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            jr.field_insensitivity_check(journals, matrix, jr.two_field_partition(), iw)
+
     def test_both_checks_share_one_proportionality_rule(self):
         # Ratios 0.5 and 0.5 + 8e-13 spread by more than 1e-12 times the
         # largest ratio, so neither check may treat them as one constant.
@@ -404,6 +423,22 @@ class TestEndpointChecks:
         tweaked = JournalSet((Journal("J1", None, 0, 100),) + journals.journals[1:])
         with pytest.raises(PreconditionViolated, match="^all journals need earlier-period articles$"):
             jr.af_endpoint_check(tweaked, matrix)
+
+    @pytest.mark.parametrize(
+        "a1, a2, message",
+        (
+            (np.nan, 1, "articles_t1 of journal 'J3' is not finite"),
+            (-1, 1, "articles_t1 of journal 'J3' is negative"),
+            (1, np.nan, "articles_t2 of journal 'J3' is not finite"),
+            (1, -1, "articles_t2 of journal 'J3' is negative"),
+        ),
+    )
+    def test_audience_endpoint_names_a_bad_article_count(self, two_field, a1, a2, message):
+        # A NaN earlier-period count must not read as disproportionate growth.
+        journals, matrix = two_field
+        journals = JournalSet(journals.journals[:2] + (Journal("J3", None, a1, a2),) + journals.journals[3:])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            jr.af_endpoint_check(journals, matrix)
 
     def test_audience_endpoint_requires_every_journal_cited(self):
         journals = JournalSet(tuple(Journal(i, None, 10, 10) for i in "abc"))
