@@ -85,6 +85,7 @@ class IndicatorVector:
 def _article_share(journals: core.JournalSet) -> np.ndarray:
     a1 = core.require_articles(journals, 1)
     total = a1.sum()
+    # Sound counts sum to zero only when every one is zero, journal 0's too.
     if total == 0:
         raise ZeroArticles(0, journals.journals[0].id)
     return a1 / total
