@@ -18,6 +18,9 @@ stationary family trades one off against the other. The field split,
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +33,21 @@ _BOUND_SLACK = 1e-12
 _ETA_TOLERANCE = 1e-12
 # An endpoint check passes when its ratios spread by less than this.
 _ENDPOINT_SPREAD = 1e-9
+# Bytes a CitationMatrix must store (its dense counts, or a sparse one's
+# non-zeros) before leave_one_out solves the full and the reduced instance of
+# a solved kind side by side. Measured with BLAS pinned to one thread on two
+# x86-64 vCPUs, median per-call time of AI(0.85) and SJR, in turn ->
+# overlapped: on block_model's dense fields (within_mean 0.4) at n = 500,
+# 2.0 MB, 3.2 -> 3.6-4.4 ms, a loss; at n = 520, 2.2 MB, 3.1 -> 2.6 ms; n =
+# 560, 2.5 MB, 3.5-4.0 -> 2.9-3.2 ms; n = 660, 3.5 MB, 5.7-6.0 -> 4.5-4.9 ms;
+# n = 1000, 8 MB, 14.3-14.6 -> 9.1-9.2 ms. On sparse fields: n = 1500, 0.6
+# MB, 5.0-5.1 -> 5.7 ms, a loss; n = 2000, 2.6 MB, 17.5-19.4 -> 16.7-19.3
+# ms, level; n = 2400, 3.7 MB, 24.6-25.5 -> 17.3-17.4 ms. A kind that solves
+# nothing (IF, AF) is one product, too short to repay the helper thread: AF
+# on the dense fields read 0.8-1.6 -> 1.1-1.8 ms at 2.0-5.1 MB, 2.1 -> 2.2
+# ms at 8 MB. The direct path (n <= spectral.DIRECT_LIMIT under method
+# "auto") lies far below the cut.
+OVERLAP_BYTES = 2_500_000
 
 
 @dataclass(frozen=True)
@@ -174,9 +192,45 @@ def leave_one_out(
     indices in the full instance and names the dropped journal. Needs at
     least three journals after the drop so that recursive indicators stay
     meaningful.
+
+    The full and the reduced instance are solved side by side, the full one
+    on a helper thread, when the matrix stores at least ``OVERLAP_BYTES``,
+    the kind solves a stationary vector (not on a forced direct path),
+    numpy's BLAS is pinned to one thread (its own thread variable, else
+    ``OMP_NUM_THREADS``, says 1) and the process may run on two CPUs or
+    more: the dense products release the interpreter lock, so the second
+    CPU does the other half. Otherwise they run in turn. Either way the report is bitwise the same, the helper
+    is joined before the call returns or raises, and when both halves fail
+    the full instance's error is raised, as when it is solved first. The
+    helper runs in a copy of the caller's context, so on numpy 2 the
+    caller's ``np.errstate`` holds there too; below numpy 2 errstate is kept
+    per thread and the helper runs under numpy's defaults.
     """
-    full = _full_values(journals, matrix, kind, params)
-    return _drop_report(journals, matrix, dropped, kind, full, params)
+    if not _overlap_pays(matrix, kind, params):
+        full = _full_values(journals, matrix, kind, params)
+        return _drop_report(dropped, full, _reduced_values(journals, matrix, dropped, kind, params))
+    outcome = []
+
+    def solve_full():
+        try:
+            outcome.append(_full_values(journals, matrix, kind, params))
+        except BaseException as err:  # raised below, in the caller's thread
+            outcome.append(err)
+
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(solve_full,))
+    helper.start()
+    try:
+        after = _reduced_values(journals, matrix, dropped, kind, params)
+    except Exception as err:
+        after = err
+    finally:
+        helper.join()
+    (full,) = outcome
+    # The full instance's error wins, as when it was solved first.
+    for result in (full, after):
+        if isinstance(result, BaseException):
+            raise result
+    return _drop_report(dropped, full, after)
 
 
 def leave_one_out_sweep(
@@ -189,10 +243,55 @@ def leave_one_out_sweep(
 
     The full instance is solved once for all drops, so a sweep costs n + 1
     indicator computations rather than 2n; each report equals the one
-    ``leave_one_out`` gives for the same journal.
+    ``leave_one_out`` gives for the same journal. The solves run in turn.
     """
     full = _full_values(journals, matrix, kind, params)
-    return [_drop_report(journals, matrix, dropped, kind, full, params) for dropped in range(journals.n)]
+    return [
+        _drop_report(dropped, full, _reduced_values(journals, matrix, dropped, kind, params))
+        for dropped in range(journals.n)
+    ]
+
+
+def _overlap_pays(matrix: core.CitationMatrix, kind: str, params: dict) -> bool:
+    """Whether leave_one_out solves its two halves side by side: the matrix
+    stores at least OVERLAP_BYTES, the kind solves a stationary vector, not
+    on a forced direct path, numpy's BLAS is pinned to one thread and the
+    process may run on more than one CPU."""
+    stored = sum(array.nbytes for array in matrix.nonzeros) if matrix.sparse else matrix.counts.nbytes
+    if stored < OVERLAP_BYTES:
+        return False
+    # An unknown kind goes in turn, to the error indicators.compute gives it.
+    spec = indicators.KINDS.get(kind.lower())
+    if spec is None or not spec.solved or getattr(params.get("solver"), "method", "auto") == "direct":
+        return False
+    return _blas_pinned(_blas_name(), os.environ) and _cpus() > 1
+
+
+def _cpus() -> int:
+    """CPUs this process may run on: with one, the helper thread only takes
+    turns with the caller (AI(0.85) at n = 1000 read 17.5 ms in turn and
+    19.0 ms overlapped under ``taskset -c 0``)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _blas_name() -> str | None:
+    """The name numpy gives its BLAS, or None where numpy (before 1.26) names none."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return None
+
+
+def _blas_pinned(blas: str | None, environ) -> bool:
+    """Whether the thread variable that BLAS ``blas`` reads says 1: OpenBLAS's
+    or MKL's own variable, else OMP_NUM_THREADS. An unknown BLAS counts as
+    not pinned. A BLAS not pinned spreads each dense product over the cores
+    already, and a second solving thread would only compete with it."""
+    name = (blas or "").lower()
+    own = "OPENBLAS_NUM_THREADS" if "openblas" in name else "MKL_NUM_THREADS" if "mkl" in name else None
+    if own is None:
+        return False
+    return (environ.get(own) or environ.get("OMP_NUM_THREADS", "")).strip() == "1"
 
 
 def _full_values(journals: core.JournalSet, matrix: core.CitationMatrix, kind: str, params: dict) -> np.ndarray:
@@ -201,17 +300,16 @@ def _full_values(journals: core.JournalSet, matrix: core.CitationMatrix, kind: s
     return indicators.compute(kind, journals, matrix, **params).values
 
 
-def _drop_report(
+def _reduced_values(
     journals: core.JournalSet,
     matrix: core.CitationMatrix,
     dropped: int,
     kind: str,
-    full_values: np.ndarray,
     params: dict,
-) -> LeaveOneOutReport:
+) -> np.ndarray:
     reduced_journals, reduced_matrix = core.drop_journal(journals, matrix, dropped)
     try:
-        after = indicators.compute(kind, reduced_journals, reduced_matrix, **params).values
+        return indicators.compute(kind, reduced_journals, reduced_matrix, **params).values
     except (ZeroArticles, ZeroArticlesT2, ZeroOutgoing, NotIrreducible) as err:
         # The same error, naming journals by their indices in the full instance.
         full = np.delete(np.arange(journals.n), dropped).tolist()
@@ -221,6 +319,9 @@ def _drop_report(
             mapped = type(err)(full[err.index], err.journal_id)
         mapped.args = (f"{mapped} once journal {quote(journals.journals[dropped].id)} (index {dropped}) is dropped",)
         raise mapped from None
+
+
+def _drop_report(dropped: int, full_values: np.ndarray, after: np.ndarray) -> LeaveOneOutReport:
     before = np.delete(full_values, dropped)
     with np.errstate(divide="ignore", invalid="ignore"):
         relative = np.where(before > 0, np.abs(after - before) / before, np.nan)

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -389,6 +392,223 @@ class TestLeaveOneOut:
         with pytest.raises(NotIrreducible) as caught:
             properties.leave_one_out_sweep(journals, CitationMatrix(counts), "ipp")
         assert sorted(caught.value.components) == [[1], [2], [3], [4]]
+
+
+# Every KINDS entry with its parameters, the power path forced so that the
+# overlapped halves solve as an above-cut instance would.
+OVERLAP_KINDS = [
+    ("if", {}),
+    ("af", {}),
+    ("iw", {}),
+    ("ipp", {}),
+    ("ef", {"alpha": 0.85}),
+    ("ai", {"alpha": 0.85}),
+    ("wpr", {"beta": 0.9, "gamma": 0.05}),
+    ("sjr", {}),
+]
+POWER = SolverConfig(method="power")
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Counts the threads started; the original start runs."""
+    calls = []
+    original = threading.Thread.start
+
+    def start(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return calls
+
+
+@pytest.fixture
+def overlapped(monkeypatch, started):
+    """Turn the overlap on for every instance and solved kind, whatever BLAS;
+    IF and AF stay in turn unless the kind rule is patched too."""
+    monkeypatch.setattr(properties, "OVERLAP_BYTES", 0)
+    monkeypatch.setattr(properties, "_blas_pinned", lambda blas, environ: True)
+    return started
+
+
+def in_turn(call):
+    """``call()`` with the overlap off, its report or the error it raised."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(properties, "_overlap_pays", lambda matrix, kind, params: False)
+        try:
+            return call()
+        except Exception as err:
+            return err
+
+
+def assert_same_outcome(call, started, overlaps=True):
+    """``call()`` gives the in-turn outcome bitwise, or raises the in-turn error."""
+    expected = in_turn(call)
+    threads = threading.active_count()
+    before = len(started)
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as caught:
+            call()
+        assert str(caught.value) == str(expected)
+        assert type(caught.value) is type(expected)
+        outcome = caught.value
+    else:
+        outcome = call()
+        assert_same_report(outcome, expected)
+    assert threading.active_count() == threads
+    assert len(started) == before + overlaps
+    return outcome
+
+
+class TestOverlappedLeaveOneOut:
+    @pytest.mark.parametrize("instance", ["dense", "sparse"])
+    @pytest.mark.parametrize("kind, params", OVERLAP_KINDS)
+    def test_reports_equal_the_in_turn_ones_bitwise(self, overlapped, monkeypatch, instance, kind, params):
+        if not jr.indicators.KINDS[kind].solved:
+            # IF and AF are one product each and run in turn for real.
+            monkeypatch.setattr(properties, "_overlap_pays", lambda matrix, kind, params: True)
+        if instance == "dense":
+            journals, matrix, _ = make_block(seed=31, m=6)
+        else:
+            journals, matrix = sparse_ring(seed=7, n=70)
+            assert matrix.sparse
+        for dropped in (0, journals.n // 2, journals.n - 1):
+            call = lambda: jr.leave_one_out(journals, matrix, dropped, kind, solver=POWER, **params)
+            assert isinstance(assert_same_outcome(call, overlapped), properties.LeaveOneOutReport)
+        assert all(not thread.is_alive() for thread in overlapped)
+
+    @pytest.mark.parametrize("dropped", ["3", True, np.bool_(False), 12, -1, 3.0])
+    def test_bad_index_raises_the_in_turn_error(self, overlapped, dropped):
+        journals, matrix, _ = make_block(seed=31, m=6)
+        err = assert_same_outcome(lambda: jr.leave_one_out(journals, matrix, dropped, "ipp"), overlapped)
+        assert isinstance(err, (TypeError, IndexError))
+
+    @pytest.mark.parametrize("dropped", [0, 2, 4])
+    def test_full_instance_error_wins(self, overlapped, dropped):
+        # Journal 2 cites nothing: the full instance raises ZeroOutgoing for
+        # it, and so does every reduced one that keeps it (at index 1 or 2).
+        journals, matrix, _ = make_block(seed=31, m=6)
+        counts = np.array(matrix.counts)
+        counts[2] = 0.0
+        dangling = CitationMatrix(counts)
+        err = assert_same_outcome(lambda: jr.leave_one_out(journals, dangling, dropped, "ai"), overlapped)
+        assert isinstance(err, ZeroOutgoing)
+        assert (err.index, str(err)) == (2, "journal 'J003' (index 2) has no outgoing citations")
+
+    def test_full_instance_error_wins_over_a_bad_index(self, overlapped):
+        journals, matrix, _ = make_block(seed=31, m=6)
+        counts = np.array(matrix.counts)
+        counts[5] = 0.0
+        err = assert_same_outcome(lambda: jr.leave_one_out(journals, CitationMatrix(counts), 99, "sjr"), overlapped)
+        assert isinstance(err, ZeroOutgoing)
+
+    def test_reduced_dangling_journal_is_named_by_its_full_index(self, overlapped, monkeypatch):
+        monkeypatch.setattr(properties, "_overlap_pays", lambda matrix, kind, params: True)
+        journals, matrix, _ = jr.block_model(jr.BlockModelSpec(30, 0.12, 0.01, seed=0))
+        for kind in ("af", "ai"):
+            err = assert_same_outcome(lambda: jr.leave_one_out(journals, matrix, 6, kind), overlapped)
+            assert isinstance(err, ZeroOutgoing)
+            assert str(err) == (
+                "journal 'J029' (index 28) has no outgoing citations once journal 'J007' (index 6) is dropped"
+            )
+
+    def test_reduced_components_are_in_full_indices(self, overlapped):
+        counts = np.eye(5) + np.roll(np.eye(5), 1, axis=1)
+        journals = JournalSet(tuple(Journal(f"J{k}", None, 3, 3) for k in range(5)))
+        for dropped in (0, 2, 4):
+            err = assert_same_outcome(
+                lambda: jr.leave_one_out(journals, CitationMatrix(counts), dropped, "ipp"), overlapped
+            )
+            assert isinstance(err, NotIrreducible)
+            assert sorted(i for c in err.components for i in c) == [k for k in range(5) if k != dropped]
+
+    def test_sweep_runs_in_turn(self, overlapped):
+        journals, matrix, _ = make_block(seed=31, m=5)
+        reports = properties.leave_one_out_sweep(journals, matrix, "ipp")
+        assert overlapped == []
+        for report in reports[:3]:
+            assert_same_report(report, in_turn(lambda: jr.leave_one_out(journals, matrix, report.dropped, "ipp")))
+
+    @pytest.mark.parametrize("kind, params", [("if", {}), ("af", {}), ("ai", {"solver": SolverConfig(method="direct")})])
+    def test_unsolved_kinds_and_forced_direct_run_in_turn(self, overlapped, kind, params):
+        journals, matrix, _ = make_block(seed=31, m=6)
+        assert_same_outcome(lambda: jr.leave_one_out(journals, matrix, 3, kind, **params), overlapped, overlaps=False)
+
+    @pytest.mark.skipif(
+        int(np.__version__.split(".")[0]) < 2,
+        reason="below numpy 2 np.errstate is kept per thread, so the helper runs under numpy's defaults",
+    )
+    def test_callers_errstate_applies_in_the_helper(self, overlapped, monkeypatch):
+        seen = []
+        compute = jr.indicators.compute
+
+        def spy(kind, journals, matrix, **params):
+            seen.append((threading.current_thread() is threading.main_thread(), np.geterr()["invalid"]))
+            return compute(kind, journals, matrix, **params)
+
+        monkeypatch.setattr(jr.indicators, "compute", spy)
+        journals, matrix, _ = make_block(seed=31, m=6)
+        with np.errstate(all="raise"):
+            jr.leave_one_out(journals, matrix, 3, "ai")
+        assert sorted(seen) == [(False, "raise"), (True, "raise")]
+
+
+def dense_instance(n):
+    """n journals citing each other, 8 n**2 bytes of dense counts."""
+    counts = np.add.outer(np.arange(n) % 7, np.arange(n) % 5) + 1.0
+    return JournalSet(tuple(Journal(f"J{k:04d}", None, 10 + k % 3, 10 + k % 3) for k in range(n))), CitationMatrix(counts)
+
+
+class TestWhenTheHalvesOverlap:
+    THREE = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+    @pytest.mark.parametrize(
+        "blas, environ, pinned",
+        [
+            ("scipy-openblas", {}, False),
+            ("mkl", {}, False),
+            ("scipy-openblas", THREE, True),
+            ("openblas", THREE, True),
+            ("mkl", THREE, True),
+            ("scipy-openblas", {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "4"}, False),
+            ("mkl", {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "4"}, True),
+            ("openblas", {"OMP_NUM_THREADS": "1"}, True),
+            ("mkl", {"MKL_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+            ("accelerate", THREE, False),
+            (None, THREE, False),
+        ],
+    )
+    def test_pinned_blas_rule(self, blas, environ, pinned):
+        assert properties._blas_pinned(blas, environ) is pinned
+
+    def test_one_cpu_runs_in_turn(self, monkeypatch, started):
+        monkeypatch.setattr(properties, "OVERLAP_BYTES", 0)
+        monkeypatch.setattr(properties, "_blas_pinned", lambda blas, environ: True)
+        journals, matrix, _ = make_block(seed=31, m=6)
+        for cpus in (1, 2):
+            monkeypatch.setattr(properties, "_cpus", lambda: cpus)
+            assert_same_outcome(lambda: jr.leave_one_out(journals, matrix, 3, "ipp"), started, cpus > 1)
+
+    def test_cut_is_at_least_overlap_bytes(self, monkeypatch, started):
+        monkeypatch.setattr(properties, "_blas_pinned", lambda blas, environ: True)
+        journals, matrix, _ = make_block(seed=31, m=6)
+        for cut, overlaps in ((matrix.counts.nbytes + 1, False), (matrix.counts.nbytes, True)):
+            monkeypatch.setattr(properties, "OVERLAP_BYTES", cut)
+            assert_same_outcome(lambda: jr.leave_one_out(journals, matrix, 3, "ipp"), started, overlaps)
+
+    def test_real_rule_around_the_real_cut(self, started):
+        # Run in turn just below the cut; just above it, overlapped exactly
+        # when this process's BLAS is pinned, as in CI's pinned step, and it
+        # has two CPUs.
+        pinned = properties._blas_pinned(properties._blas_name(), os.environ) and properties._cpus() > 1
+        if "openblas" in str(properties._blas_name()).lower() and os.environ.get("OPENBLAS_NUM_THREADS") == "1":
+            assert pinned
+        side = int(np.ceil(np.sqrt(properties.OVERLAP_BYTES / 8)))
+        for n, overlaps in ((side - 1, False), (side, pinned)):
+            journals, matrix = dense_instance(n)
+            assert (matrix.counts.nbytes >= properties.OVERLAP_BYTES) is (n == side)
+            assert_same_outcome(lambda: jr.leave_one_out(journals, matrix, n - 1, "ai"), started, overlaps)
 
 
 class TestEndpointChecks:
