@@ -324,10 +324,11 @@ def validate(journals: JournalSet, matrix: CitationMatrix) -> tuple[JournalSet, 
     """Check a journal set / matrix pair and return it unchanged if sound.
 
     Raises ValidationError reporting every violation found: duplicate or
-    empty ids, negative or non-finite article counts, a dimension mismatch,
+    empty ids, negative or non-finite article counts, a period whose sound
+    article counts sum beyond the float range, a dimension mismatch,
     negative or non-finite matrix cells, and, when every cell is sound, the
     journals whose citations made or received sum beyond the float range
-    (``SumOverflow``). The first
+    (both ``SumOverflow``). The first
     ``MAX_ISSUES_PER_CODE`` issues of each code are stored; the error's
     ``issue_count`` is the exact total.
     """
@@ -357,6 +358,10 @@ def validate(journals: JournalSet, matrix: CitationMatrix) -> tuple[JournalSet, 
             issue = _count_issue(journal.id, period, count)
             if issue:
                 add(issue)
+    for period in (1, 2):
+        issue = _article_sum_issue(journals, period)
+        if issue:
+            add(issue)
 
     mismatch = size_mismatch(journals, matrix)
     if mismatch:
@@ -402,16 +407,26 @@ def _sum_overflows(matrix: CitationMatrix, journals: JournalSet | None) -> list[
     """``validate``'s SumOverflow issues for a matrix of sound cells: each row,
     then each column, beyond the float range, else the total. Journals are
     named by id when given, else by matrix index."""
-    _, cols, values = matrix.nonzeros
-    received = np.bincount(cols, weights=values, minlength=matrix.n)
     issues = []
-    for what, sums in (("made", matrix.row_sums), ("received", received)):
+    for what, sums in (("made", matrix.row_sums), ("received", received_citations(matrix))):
         for i in np.flatnonzero(~np.isfinite(sums)):
             journal = journals.journals[i].id if journals is not None else None
             who = f"journal {quote(journal)}" if journal is not None else f"matrix index {i}"
             message = f"citations {what} by {who} sum beyond the float range"
             issues.append(Issue("SumOverflow", message, journal=journal))
     return issues or [Issue("SumOverflow", "the matrix's citations sum beyond the float range")]
+
+
+def received_citations(matrix: CitationMatrix) -> np.ndarray:
+    """The column sums, each journal's received citations; a sum beyond the
+    float range is inf, without a warning. A sparse matrix adds each
+    column's cells in row order, as the dense column sum does, so both give
+    the same bits."""
+    if matrix.sparse:
+        _, cols, values = matrix.nonzeros
+        return np.bincount(cols, weights=values, minlength=matrix.n)
+    with np.errstate(over="ignore"):
+        return matrix.counts.sum(axis=0)
 
 
 def require_sound(matrix: CitationMatrix, journals: JournalSet | None = None) -> np.ndarray:
@@ -453,14 +468,29 @@ def _count_issue(journal_id: str, period: int, count: float) -> Issue | None:
     return Issue(code, f"articles_t{period} of journal {quote(journal_id)} {what}", journal=journal_id)
 
 
+def _article_sum_issue(journals: JournalSet, period: int) -> Issue | None:
+    """``validate``'s SumOverflow issue for the article counts of period 1 or
+    2 when each is finite and non-negative but their sum is not finite."""
+    counts = getattr(journals, f"articles_t{period}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = counts.sum()
+    if np.isfinite(total) or not np.isfinite(counts).all() or (counts < 0).any():
+        return None
+    return Issue("SumOverflow", f"articles_t{period} counts sum beyond the float range")
+
+
 def require_articles(journals: JournalSet, period: int) -> np.ndarray:
     """Return the article counts of period 1 or 2, or raise ValueError in
-    ``validate``'s words for the first non-finite or negative one."""
+    ``validate``'s words for the first non-finite or negative one, then for
+    counts that sum beyond the float range."""
     counts = getattr(journals, f"articles_t{period}")
     unsound = np.flatnonzero(~np.isfinite(counts) | (counts < 0))
     if unsound.size:
         k = unsound[0]
         raise ValueError(_count_issue(journals.journals[k].id, period, counts[k]).message)
+    overflow = _article_sum_issue(journals, period)
+    if overflow:
+        raise ValueError(overflow.message)
     return counts
 
 

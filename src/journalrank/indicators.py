@@ -95,14 +95,7 @@ def impact_factor(journals: core.JournalSet, matrix: core.CitationMatrix) -> Ind
     """Received citations per earlier-period article."""
     a1 = core.require_published(journals, 1)
     core.require_sound(matrix, journals)
-    if matrix.sparse:
-        # Adds each column's cells in row order, as the dense column sum
-        # does, so both give the same bits.
-        _, cols, values = matrix.nonzeros
-        received = np.bincount(cols, weights=values, minlength=matrix.n)
-    else:
-        received = matrix.counts.sum(axis=0)
-    return IndicatorVector("IF", received / a1)
+    return IndicatorVector("IF", core.received_citations(matrix) / a1)
 
 
 def audience_factor(journals: core.JournalSet, matrix: core.CitationMatrix) -> IndicatorVector:

@@ -22,6 +22,7 @@ import contextvars
 import os
 import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -34,8 +35,8 @@ _ETA_TOLERANCE = 1e-12
 # An endpoint check passes when its ratios spread by less than this.
 _ENDPOINT_SPREAD = 1e-9
 # Bytes a CitationMatrix must store (its dense counts, or a sparse one's
-# non-zeros) before leave_one_out solves the full and the reduced instance of
-# a solved kind side by side. Measured with BLAS pinned to one thread on two
+# non-zeros) before _drop_reports splits the solves of a solved kind over two
+# threads. Measured with BLAS pinned to one thread on two
 # x86-64 vCPUs, median per-call time of AI(0.85) and SJR, in turn ->
 # overlapped: on block_model's dense fields (within_mean 0.4) at n = 500,
 # 2.0 MB, 3.2 -> 3.6-4.4 ms, a loss; at n = 520, 2.2 MB, 3.1 -> 2.6 ms; n =
@@ -45,8 +46,8 @@ _ENDPOINT_SPREAD = 1e-9
 # ms, level; n = 2400, 3.7 MB, 24.6-25.5 -> 17.3-17.4 ms. A kind that solves
 # nothing (IF, AF) is one product, too short to repay the helper thread: AF
 # on the dense fields read 0.8-1.6 -> 1.1-1.8 ms at 2.0-5.1 MB, 2.1 -> 2.2
-# ms at 8 MB. The direct path (n <= spectral.DIRECT_LIMIT under method
-# "auto") lies far below the cut.
+# ms at 8 MB. Forced direct, AI(0.85) and SJR on the dense fields read 26 ->
+# 14.5 ms at n = 560 and 82 -> 44 ms at n = 1000.
 OVERLAP_BYTES = 2_500_000
 
 
@@ -185,52 +186,14 @@ def leave_one_out(
 
     ``params`` are passed to ``indicators.compute`` for both instances: the
     kind's parameters (as listed in ``indicators.KINDS``) and ``solver``.
-    The reduced instance comes from ``core.drop_journal``, which adjusts the
-    parent's non-zero count and negative-cell fact for the drop; its row
-    sums, referencing rates, stationary vector and irreducibility are fresh.
-    An error the reduced instance raises keeps its type, gives journal
-    indices in the full instance and names the dropped journal. Needs at
-    least three journals after the drop so that recursive indicators stay
-    meaningful.
-
-    The full and the reduced instance are solved side by side, the full one
-    on a helper thread, when the matrix stores at least ``OVERLAP_BYTES``,
-    the kind solves a stationary vector (not on a forced direct path),
-    numpy's BLAS is pinned to one thread (its own thread variable, else
-    ``OMP_NUM_THREADS``, says 1) and the process may run on two CPUs or
-    more: the dense products release the interpreter lock, so the second
-    CPU does the other half. Otherwise they run in turn. Either way the report is bitwise the same, the helper
-    is joined before the call returns or raises, and when both halves fail
-    the full instance's error is raised, as when it is solved first. The
-    helper runs in a copy of the caller's context, so on numpy 2 the
-    caller's ``np.errstate`` holds there too; below numpy 2 errstate is kept
-    per thread and the helper runs under numpy's defaults.
+    The reduced instance comes from ``core.drop_journal``; its row sums,
+    referencing rates, stationary vector and irreducibility are fresh. An
+    error the reduced instance raises keeps its type, gives journal indices
+    in the full instance and names the dropped journal. Needs at least three
+    journals after the drop so that recursive indicators stay meaningful.
+    The two instances may be solved side by side, by ``_drop_reports``'s rule.
     """
-    if not _overlap_pays(matrix, kind, params):
-        full = _full_values(journals, matrix, kind, params)
-        return _drop_report(dropped, full, _reduced_values(journals, matrix, dropped, kind, params))
-    outcome = []
-
-    def solve_full():
-        try:
-            outcome.append(_full_values(journals, matrix, kind, params))
-        except BaseException as err:  # raised below, in the caller's thread
-            outcome.append(err)
-
-    helper = threading.Thread(target=contextvars.copy_context().run, args=(solve_full,))
-    helper.start()
-    try:
-        after = _reduced_values(journals, matrix, dropped, kind, params)
-    except Exception as err:
-        after = err
-    finally:
-        helper.join()
-    (full,) = outcome
-    # The full instance's error wins, as when it was solved first.
-    for result in (full, after):
-        if isinstance(result, BaseException):
-            raise result
-    return _drop_report(dropped, full, after)
+    return _drop_reports(journals, matrix, (dropped,), kind, params)[0]
 
 
 def leave_one_out_sweep(
@@ -242,29 +205,70 @@ def leave_one_out_sweep(
     """``leave_one_out`` for every journal in index order, with the same ``params``.
 
     The full instance is solved once for all drops, so a sweep costs n + 1
-    indicator computations rather than 2n; each report equals the one
-    ``leave_one_out`` gives for the same journal. The solves run in turn.
+    indicator computations rather than 2n. Each report, and the error of
+    the first failing drop, is the one ``leave_one_out`` gives for it.
     """
-    full = _full_values(journals, matrix, kind, params)
-    return [
-        _drop_report(dropped, full, _reduced_values(journals, matrix, dropped, kind, params))
-        for dropped in range(journals.n)
-    ]
+    return _drop_reports(journals, matrix, range(journals.n), kind, params)
 
 
-def _overlap_pays(matrix: core.CitationMatrix, kind: str, params: dict) -> bool:
-    """Whether leave_one_out solves its two halves side by side: the matrix
-    stores at least OVERLAP_BYTES, the kind solves a stationary vector, not
-    on a forced direct path, numpy's BLAS is pinned to one thread and the
-    process may run on more than one CPU."""
+def _drop_reports(journals, matrix, drops, kind: str, params: dict) -> list[LeaveOneOutReport]:
+    """Solve the full instance, then the reduced one of each journal in
+    ``drops``, and report each drop, or raise the first failing solve's error.
+
+    The one place that splits the solves over two threads. That pays
+    (``_overlap_pays``) when the matrix stores at least ``OVERLAP_BYTES``,
+    the kind solves a stationary vector, numpy's BLAS is pinned to one
+    thread (its own thread variable, else ``OMP_NUM_THREADS``, says 1) and
+    the process may run on two CPUs or more, since the dense products
+    release the interpreter lock. A helper thread then takes the full
+    instance and every second solve after it, the caller the rest. Once a
+    solve fails neither thread starts a later one, while every earlier one
+    still runs, so the reports, or the error, are bitwise the in-turn ones;
+    an interrupt is raised whatever failed before it. The helper is joined
+    before the call returns or raises, and runs in a copy of the caller's
+    context: on numpy 2 the caller's ``np.errstate`` holds there, below
+    numpy 2 numpy's defaults do.
+    """
+    solves = [partial(_full_values, journals, matrix, kind, params)]
+    solves += [partial(_reduced_values, journals, matrix, dropped, kind, params) for dropped in drops]
+    results: list = [None] * len(solves)
+    failed: list[int] = []  # the indices of the failed solves
+
+    def run(first: int, step: int) -> None:
+        i = first
+        try:
+            for i in range(first, len(solves), step):
+                if failed and min(failed) < i:
+                    return
+                results[i] = solves[i]()
+        except BaseException as err:  # raised below, in the caller's thread
+            results[i] = err
+            failed.append(i)
+
+    if not _overlap_pays(matrix, kind):
+        run(0, 1)
+    else:
+        helper = threading.Thread(target=contextvars.copy_context().run, args=(run, 0, 2))
+        helper.start()
+        try:
+            run(1, 2)
+        finally:
+            helper.join()
+    if failed:
+        errors = [results[i] for i in sorted(failed)]
+        raise next((err for err in errors if not isinstance(err, Exception)), errors[0])
+    full, *reduced = results
+    return [_drop_report(dropped, full, after) for dropped, after in zip(drops, reduced)]
+
+
+def _overlap_pays(matrix: core.CitationMatrix, kind: str) -> bool:
+    """Whether ``_drop_reports`` splits its solves over two threads."""
     stored = sum(array.nbytes for array in matrix.nonzeros) if matrix.sparse else matrix.counts.nbytes
     if stored < OVERLAP_BYTES:
         return False
     # An unknown kind goes in turn, to the error indicators.compute gives it.
     spec = indicators.KINDS.get(kind.lower())
-    if spec is None or not spec.solved or getattr(params.get("solver"), "method", "auto") == "direct":
-        return False
-    return _blas_pinned(_blas_name(), os.environ) and _cpus() > 1
+    return spec is not None and spec.solved and _blas_pinned(_blas_name(), os.environ) and _cpus() > 1
 
 
 def _cpus() -> int:
@@ -301,11 +305,7 @@ def _full_values(journals: core.JournalSet, matrix: core.CitationMatrix, kind: s
 
 
 def _reduced_values(
-    journals: core.JournalSet,
-    matrix: core.CitationMatrix,
-    dropped: int,
-    kind: str,
-    params: dict,
+    journals: core.JournalSet, matrix: core.CitationMatrix, dropped: int, kind: str, params: dict
 ) -> np.ndarray:
     reduced_journals, reduced_matrix = core.drop_journal(journals, matrix, dropped)
     try:

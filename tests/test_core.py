@@ -60,6 +60,22 @@ class TestValidate:
             jr.validate(journals, matrix)
         assert [(i.code, i.message, i.journal) for i in err.value.issues] == [("SumOverflow", *e) for e in expected]
 
+    def test_article_counts_summing_beyond_the_float_range_are_reported(self):
+        # Each count is finite; only each period's sum overflows.
+        journals = journals_of(("a", 1e308, 1), ("b", 1e308, 1e308), ("c", 1, 1e308))
+        with pytest.raises(ValidationError) as err:
+            jr.validate(journals, jr.CitationMatrix(np.ones((3, 3))))
+        assert [(i.code, i.message, i.journal) for i in err.value.issues] == [
+            ("SumOverflow", f"articles_t{period} counts sum beyond the float range", None) for period in (1, 2)
+        ]
+
+    @pytest.mark.parametrize("bad", [np.inf, -1.0])
+    def test_unsound_article_counts_report_no_overflowing_sum(self, bad):
+        journals = journals_of(("a", 1e308, 1), ("b", 1e308, 1), ("c", bad, 1))
+        with pytest.raises(ValidationError) as err:
+            jr.validate(journals, jr.CitationMatrix(np.ones((3, 3))))
+        assert [i.code for i in err.value.issues] == ["NegativeCount" if bad < 0 else "NonFiniteCount"]
+
     def test_overflowing_sum_of_a_mismatched_matrix_is_named_by_index(self):
         journals = journals_of(("a", 1, 1))
         matrix = jr.CitationMatrix(np.array([[1.0, 0.0], [1e308, 1e308]]))

@@ -463,6 +463,24 @@ class TestEdgeCases:
             vector = jr.compute(kind, faulty, matrix, **params)
             assert vector.values.tobytes() == jr.compute(kind, journals, matrix, **params).values.tobytes()
 
+    @pytest.mark.parametrize("period", (1, 2))
+    @pytest.mark.parametrize("kind,params,divides,teleports", ARTICLE_READS)
+    def test_article_counts_summing_beyond_the_float_range(self, two_field, kind, params, divides, teleports, period):
+        # J1 and J2 hold 1e308 articles each: finite counts whose sum is not.
+        journals, matrix = two_field
+        huge = with_count(with_count(journals, 0, period, 1e308), 1, period, 1e308)
+        with pytest.raises(jr.ValidationError) as invalid:
+            jr.validate(huge, matrix)
+        (issue,) = invalid.value.issues
+        assert (issue.code, issue.message) == ("SumOverflow", f"articles_t{period} counts sum beyond the float range")
+        if period in divides + teleports:
+            with pytest.raises(ValueError) as err:
+                jr.compute(kind, huge, matrix, **params)
+            assert type(err.value) is ValueError and str(err.value) == issue.message
+        else:
+            vector = jr.compute(kind, huge, matrix, **params)
+            assert vector.values.tobytes() == jr.compute(kind, journals, matrix, **params).values.tobytes()
+
     def test_negative_count_no_longer_scored_by_weighted_pagerank(self, two_field):
         # J3 = -5 leaves the article-share teleport a probability vector, so
         # only the article gate rejects it.

@@ -1,4 +1,5 @@
 import os
+import sys
 import threading
 
 import numpy as np
@@ -425,17 +426,18 @@ def started(monkeypatch):
 
 @pytest.fixture
 def overlapped(monkeypatch, started):
-    """Turn the overlap on for every instance and solved kind, whatever BLAS;
-    IF and AF stay in turn unless the kind rule is patched too."""
+    """Turn the overlap on for every instance and solved kind, whatever BLAS
+    and CPU count; IF and AF stay in turn unless the kind rule is patched too."""
     monkeypatch.setattr(properties, "OVERLAP_BYTES", 0)
     monkeypatch.setattr(properties, "_blas_pinned", lambda blas, environ: True)
+    monkeypatch.setattr(properties, "_cpus", lambda: 2)
     return started
 
 
 def in_turn(call):
     """``call()`` with the overlap off, its report or the error it raised."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(properties, "_overlap_pays", lambda matrix, kind, params: False)
+        patch.setattr(properties, "_overlap_pays", lambda matrix, kind: False)
         try:
             return call()
         except Exception as err:
@@ -443,7 +445,8 @@ def in_turn(call):
 
 
 def assert_same_outcome(call, started, overlaps=True):
-    """``call()`` gives the in-turn outcome bitwise, or raises the in-turn error."""
+    """``call()`` gives the in-turn outcome bitwise, a report or a sweep's
+    list of them, or raises the in-turn error."""
     expected = in_turn(call)
     threads = threading.active_count()
     before = len(started)
@@ -455,7 +458,12 @@ def assert_same_outcome(call, started, overlaps=True):
         outcome = caught.value
     else:
         outcome = call()
-        assert_same_report(outcome, expected)
+        if isinstance(expected, list):
+            assert len(outcome) == len(expected)
+            for report, want in zip(outcome, expected):
+                assert_same_report(report, want)
+        else:
+            assert_same_report(outcome, expected)
     assert threading.active_count() == threads
     assert len(started) == before + overlaps
     return outcome
@@ -467,7 +475,7 @@ class TestOverlappedLeaveOneOut:
     def test_reports_equal_the_in_turn_ones_bitwise(self, overlapped, monkeypatch, instance, kind, params):
         if not jr.indicators.KINDS[kind].solved:
             # IF and AF are one product each and run in turn for real.
-            monkeypatch.setattr(properties, "_overlap_pays", lambda matrix, kind, params: True)
+            monkeypatch.setattr(properties, "_overlap_pays", lambda matrix, kind: True)
         if instance == "dense":
             journals, matrix, _ = make_block(seed=31, m=6)
         else:
@@ -484,7 +492,7 @@ class TestOverlappedLeaveOneOut:
         err = assert_same_outcome(lambda: jr.leave_one_out(journals, matrix, dropped, "ipp"), overlapped)
         assert isinstance(err, (TypeError, IndexError))
 
-    @pytest.mark.parametrize("dropped", [0, 2, 4])
+    @pytest.mark.parametrize("dropped", [0, 2, 4, "sweep"])
     def test_full_instance_error_wins(self, overlapped, dropped):
         # Journal 2 cites nothing: the full instance raises ZeroOutgoing for
         # it, and so does every reduced one that keeps it (at index 1 or 2).
@@ -492,7 +500,11 @@ class TestOverlappedLeaveOneOut:
         counts = np.array(matrix.counts)
         counts[2] = 0.0
         dangling = CitationMatrix(counts)
-        err = assert_same_outcome(lambda: jr.leave_one_out(journals, dangling, dropped, "ai"), overlapped)
+        if dropped == "sweep":
+            call = lambda: properties.leave_one_out_sweep(journals, dangling, "ai")
+        else:
+            call = lambda: jr.leave_one_out(journals, dangling, dropped, "ai")
+        err = assert_same_outcome(call, overlapped)
         assert isinstance(err, ZeroOutgoing)
         assert (err.index, str(err)) == (2, "journal 'J003' (index 2) has no outgoing citations")
 
@@ -504,7 +516,7 @@ class TestOverlappedLeaveOneOut:
         assert isinstance(err, ZeroOutgoing)
 
     def test_reduced_dangling_journal_is_named_by_its_full_index(self, overlapped, monkeypatch):
-        monkeypatch.setattr(properties, "_overlap_pays", lambda matrix, kind, params: True)
+        monkeypatch.setattr(properties, "_overlap_pays", lambda matrix, kind: True)
         journals, matrix, _ = jr.block_model(jr.BlockModelSpec(30, 0.12, 0.01, seed=0))
         for kind in ("af", "ai"):
             err = assert_same_outcome(lambda: jr.leave_one_out(journals, matrix, 6, kind), overlapped)
@@ -523,17 +535,116 @@ class TestOverlappedLeaveOneOut:
             assert isinstance(err, NotIrreducible)
             assert sorted(i for c in err.components for i in c) == [k for k in range(5) if k != dropped]
 
-    def test_sweep_runs_in_turn(self, overlapped):
+    def test_sweep_starts_one_helper(self, overlapped):
         journals, matrix, _ = make_block(seed=31, m=5)
-        reports = properties.leave_one_out_sweep(journals, matrix, "ipp")
-        assert overlapped == []
+        reports = assert_same_outcome(lambda: properties.leave_one_out_sweep(journals, matrix, "ipp"), overlapped)
+        assert len(overlapped) == 1
         for report in reports[:3]:
             assert_same_report(report, in_turn(lambda: jr.leave_one_out(journals, matrix, report.dropped, "ipp")))
 
-    @pytest.mark.parametrize("kind, params", [("if", {}), ("af", {}), ("ai", {"solver": SolverConfig(method="direct")})])
-    def test_unsolved_kinds_and_forced_direct_run_in_turn(self, overlapped, kind, params):
+    @pytest.mark.parametrize("instance", ["dense", "sparse"])
+    @pytest.mark.parametrize("kind, params", OVERLAP_KINDS)
+    def test_sweeps_equal_the_in_turn_ones_bitwise(self, overlapped, monkeypatch, instance, kind, params):
+        if not jr.indicators.KINDS[kind].solved:
+            monkeypatch.setattr(properties, "_overlap_pays", lambda matrix, kind: True)
+        if instance == "dense":
+            journals, matrix, _ = make_block(seed=31, m=6)
+        else:
+            journals, matrix = sparse_ring(seed=7, n=70)
+            assert matrix.sparse
+        call = lambda: properties.leave_one_out_sweep(journals, matrix, kind, solver=POWER, **params)
+        reports = assert_same_outcome(call, overlapped)
+        assert [r.dropped for r in reports] == list(range(journals.n))
+        assert all(not thread.is_alive() for thread in overlapped)
+
+    @pytest.mark.parametrize("kind, params", [("ipp", {}), ("ai", {"alpha": 0.85}), ("sjr", {})])
+    def test_forced_direct_overlaps(self, overlapped, kind, params):
         journals, matrix, _ = make_block(seed=31, m=6)
-        assert_same_outcome(lambda: jr.leave_one_out(journals, matrix, 3, kind, **params), overlapped, overlaps=False)
+        for call in (
+            lambda: jr.leave_one_out(journals, matrix, 3, kind, solver=DIRECT, **params),
+            lambda: properties.leave_one_out_sweep(journals, matrix, kind, solver=DIRECT, **params),
+        ):
+            assert_same_outcome(call, overlapped)
+
+    @pytest.mark.parametrize("kind", ["if", "af"])
+    def test_unsolved_kinds_run_in_turn(self, overlapped, kind):
+        journals, matrix, _ = make_block(seed=31, m=6)
+        assert_same_outcome(lambda: jr.leave_one_out(journals, matrix, 3, kind), overlapped, overlaps=False)
+        assert_same_outcome(lambda: properties.leave_one_out_sweep(journals, matrix, kind), overlapped, overlaps=False)
+
+    # On this instance drops 6, 14, 37, 49 and 58 leave a survivor citing
+    # nothing. The caller solves the even drops, the helper the odd ones.
+    @pytest.mark.parametrize(
+        "waits, until, begun",
+        [
+            # Drop 6 fails while the helper waits at drop 5: drop 5 still
+            # runs, and neither thread starts drop 7 or any later one.
+            (5, 6, set(range(7))),
+            # Drop 37 fails on the helper while the caller waits at drop 6;
+            # drop 6 then fails and its error wins.
+            (6, 37, {0, 2, 4, 6} | set(range(1, 38, 2))),
+        ],
+    )
+    def test_sweep_raises_the_first_failing_drops_error(self, overlapped, monkeypatch, waits, until, begun):
+        journals, matrix, _ = jr.block_model(jr.BlockModelSpec(30, 0.12, 0.01, seed=0))
+        call = lambda: properties.leave_one_out_sweep(journals, matrix, "ai")
+        expected = in_turn(call)
+        assert str(expected) == (
+            "journal 'J029' (index 28) has no outgoing citations once journal 'J007' (index 6) is dropped"
+        )
+        seen, failed = [], threading.Event()
+        reduced = properties._reduced_values
+
+        def spy(journals, matrix, dropped, kind, params):
+            seen.append(dropped)
+            if dropped == waits:
+                assert failed.wait(30), f"drop {until} did not fail"
+            try:
+                return reduced(journals, matrix, dropped, kind, params)
+            except ZeroOutgoing:
+                if dropped == until:
+                    failed.set()
+                raise
+
+        monkeypatch.setattr(properties, "_reduced_values", spy)
+        threads = threading.active_count()
+        with pytest.raises(ZeroOutgoing) as caught:
+            call()
+        assert (caught.value.index, str(caught.value)) == (28, str(expected))
+        assert set(seen) == begun and len(seen) == len(begun)
+        assert threading.active_count() == threads and len(overlapped) == 1
+
+    def test_first_error_under_frequent_thread_switches(self, overlapped):
+        journals, matrix, _ = jr.block_model(jr.BlockModelSpec(30, 0.12, 0.01, seed=0))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                assert_same_outcome(lambda: properties.leave_one_out_sweep(journals, matrix, "ai"), overlapped)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_interrupt_wins_over_an_earlier_error(self, overlapped, monkeypatch):
+        # The helper's drop 1 fails once the caller's drop 2 has started,
+        # and drop 2 is interrupted.
+        reduced, interrupting = properties._reduced_values, threading.Event()
+
+        def spy(journals, matrix, dropped, kind, params):
+            if dropped == 1:
+                assert interrupting.wait(30), "drop 2 did not start"
+                raise ValueError("drop 1 fails")
+            if dropped == 2:
+                interrupting.set()
+                raise KeyboardInterrupt
+            return reduced(journals, matrix, dropped, kind, params)
+
+        monkeypatch.setattr(properties, "_reduced_values", spy)
+        journals, matrix, _ = make_block(seed=31, m=6)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            properties.leave_one_out_sweep(journals, matrix, "ipp")
+        assert threading.active_count() == threads
+        assert len(overlapped) == 1 and not overlapped[0].is_alive()
 
     @pytest.mark.skipif(
         int(np.__version__.split(".")[0]) < 2,
@@ -592,6 +703,7 @@ class TestWhenTheHalvesOverlap:
 
     def test_cut_is_at_least_overlap_bytes(self, monkeypatch, started):
         monkeypatch.setattr(properties, "_blas_pinned", lambda blas, environ: True)
+        monkeypatch.setattr(properties, "_cpus", lambda: 2)
         journals, matrix, _ = make_block(seed=31, m=6)
         for cut, overlaps in ((matrix.counts.nbytes + 1, False), (matrix.counts.nbytes, True)):
             monkeypatch.setattr(properties, "OVERLAP_BYTES", cut)
