@@ -223,12 +223,12 @@ class CitationMatrix:
     def irreducible(self) -> bool:
         """Whether the pattern of positive cells is strongly connected.
 
-        Same verdict as ``structure(matrix).irreducible``: a single journal
-        counts only when it cites itself, an empty matrix never. A larger
-        matrix takes a forward and a backward breadth-first sweep out of
-        journal 0 instead of a full SCC pass, one ``_reaches_all`` each;
-        the storage gives the one-link step, along the rows and columns of
-        the dense pattern or along the positive stored non-zeros.
+        A single journal counts only when it cites itself, an empty matrix
+        never; ``structure`` reports this verdict. A larger matrix takes a
+        forward and a backward breadth-first sweep out of journal 0 instead
+        of a full SCC pass, one ``_reaches_all`` each; the storage gives the
+        one-link step, along the rows and columns of the dense pattern or
+        along the positive stored non-zeros.
         """
         n = self.n
         if n <= 1:
@@ -335,10 +335,11 @@ def validate(journals: JournalSet, matrix: CitationMatrix) -> tuple[JournalSet, 
     issues: list[Issue] = []
     found: Counter[str] = Counter()
 
-    def add(issue: Issue) -> None:
-        found[issue.code] += 1
-        if found[issue.code] <= MAX_ISSUES_PER_CODE:
-            issues.append(issue)
+    def add(issue: Issue | None) -> None:
+        if issue:
+            found[issue.code] += 1
+            if found[issue.code] <= MAX_ISSUES_PER_CODE:
+                issues.append(issue)
 
     seen: dict[str, int] = {}
     for k, journal in enumerate(journals.journals):
@@ -355,13 +356,9 @@ def validate(journals: JournalSet, matrix: CitationMatrix) -> tuple[JournalSet, 
         else:
             seen[journal.id] = k
         for period, count in enumerate((journal.articles_t1, journal.articles_t2), 1):
-            issue = _count_issue(journal.id, period, count)
-            if issue:
-                add(issue)
+            add(_count_issue(journal.id, period, count))
     for period in (1, 2):
-        issue = _article_sum_issue(journals, period)
-        if issue:
-            add(issue)
+        add(_article_sum_issue(journals, period))
 
     mismatch = size_mismatch(journals, matrix)
     if mismatch:
@@ -370,16 +367,13 @@ def validate(journals: JournalSet, matrix: CitationMatrix) -> tuple[JournalSet, 
     if _may_be_unsound(matrix):
         rows, cols, values = matrix.nonzeros
         finite = np.isfinite(values)
-        for code, bad, what in (
-            ("NonFiniteCount", ~finite, "is not finite"),
-            ("NegativeCount", finite & (values < 0), "is negative"),
-        ):
-            cells = np.column_stack((rows[bad], cols[bad]))
-            room = max(MAX_ISSUES_PER_CODE - found[code], 0)
-            found[code] += len(cells)
-            issues.extend(
-                Issue(code, f"matrix cell ({i}, {j}) {what}", cell=(int(i), int(j))) for i, j in cells[:room]
-            )
+        for bad in (~finite, finite & (values < 0)):  # every non-finite cell first
+            cells = np.flatnonzero(bad)
+            for k in cells[:MAX_ISSUES_PER_CODE]:
+                issue = _cell_issue(int(rows[k]), int(cols[k]), values[k])
+                add(issue)
+            if cells.size > MAX_ISSUES_PER_CODE:  # the rest are only counted
+                found[issue.code] += cells.size - MAX_ISSUES_PER_CODE
         if matrix.negative_cell is None and finite.all():
             for issue in _sum_overflows(matrix, journals if mismatch is None else None):
                 add(issue)
@@ -445,8 +439,7 @@ def require_sound(matrix: CitationMatrix, journals: JournalSet | None = None) ->
         unsound = np.flatnonzero(~np.isfinite(values) | (values < 0))
         if unsound.size:
             k = unsound[0]
-            what = "is negative" if np.isfinite(values[k]) else "is not finite"
-            raise ValueError(f"matrix cell ({rows[k]}, {cols[k]}) {what}")
+            raise ValueError(_cell_issue(int(rows[k]), int(cols[k]), values[k]).message)
         raise ValueError(_sum_overflows(matrix, journals)[0].message)
     return matrix.row_sums
 
@@ -459,13 +452,23 @@ def require_citing(matrix: CitationMatrix, journals: JournalSet | None = None) -
 
 def _count_issue(journal_id: str, period: int, count: float) -> Issue | None:
     """``validate``'s issue for one article count of period 1 or 2, or None."""
-    if not math.isfinite(count):
-        code, what = "NonFiniteCount", "is not finite"
-    elif count < 0:
-        code, what = "NegativeCount", "is negative"
-    else:
-        return None
-    return Issue(code, f"articles_t{period} of journal {quote(journal_id)} {what}", journal=journal_id)
+    fault = _fault(count)
+    return fault and Issue(
+        fault[0], f"articles_t{period} of journal {quote(journal_id)} {fault[1]}", journal=journal_id
+    )
+
+
+def _cell_issue(i: int, j: int, value: float) -> Issue | None:
+    """``validate``'s issue for matrix cell (i, j), or None."""
+    fault = _fault(value)
+    return fault and Issue(fault[0], f"matrix cell ({i}, {j}) {fault[1]}", cell=(i, j))
+
+
+def _fault(value: float) -> tuple[str, str] | None:
+    """The code and wording of a count's issue: not finite, else negative, else None."""
+    if not math.isfinite(value):
+        return "NonFiniteCount", "is not finite"
+    return ("NegativeCount", "is negative") if value < 0 else None
 
 
 def _article_sum_issue(journals: JournalSet, period: int) -> Issue | None:
@@ -600,17 +603,11 @@ def strongly_connected_components(matrix) -> list[list[int]]:
 
 
 def structure(matrix) -> StructureReport:
-    """Structural preflight report: whether the pattern is strongly connected.
-
-    Depends only on the zero/non-zero pattern. A single journal counts as
-    irreducible only when it cites itself. Periodicity is not reported: no
-    solver needs it, since the alpha = 1 power path goes on with lazy
-    half-steps when its plain steps do not settle.
-    """
+    """Structural preflight report of a CitationMatrix or of a bare array,
+    which is wrapped in one: ``matrix.irreducible``. Periodicity is not
+    reported, since no solver needs it."""
     matrix = matrix if isinstance(matrix, CitationMatrix) else CitationMatrix(matrix)
-    if matrix.n == 1:
-        return StructureReport(bool(np.any(matrix.nonzeros[2] > 0)))
-    return StructureReport(len(strongly_connected_components(matrix)) == 1)
+    return StructureReport(matrix.irreducible)
 
 
 def drop_journal(

@@ -121,10 +121,7 @@ def _parse_count(text: str, what: str) -> int:
 def read_journals(path: str | Path) -> JournalSet:
     rows = _read_rows(path)
     if not rows or rows[0] != JOURNALS_HEADER:
-        raise _fail(
-            "BadHeader",
-            f"journals file must start with {','.join(JOURNALS_HEADER)!r}",
-        )
+        raise _fail("BadHeader", f"journals file must start with {','.join(JOURNALS_HEADER)!r}")
     journals = []
     for row in rows[1:]:
         if len(row) != 4:
@@ -148,9 +145,7 @@ def write_journals(path: str | Path, journals: JournalSet) -> None:
         writer = csv_writer(handle, [text for j in journals.journals for text in (j.id, j.name or "")])
         writer.writerow(JOURNALS_HEADER)
         for journal in journals.journals:
-            writer.writerow(
-                [journal.id, journal.name or "", journal.articles_t1, journal.articles_t2]
-            )
+            writer.writerow([journal.id, journal.name or "", journal.articles_t1, journal.articles_t2])
 
 
 def read_matrix(path: str | Path, journals: JournalSet) -> CitationMatrix:

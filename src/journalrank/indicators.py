@@ -91,6 +91,13 @@ def _article_share(journals: core.JournalSet) -> np.ndarray:
     return a1 / total
 
 
+def _per_article(values: np.ndarray, factor: float, a1: np.ndarray) -> np.ndarray:
+    """values / (factor * a1), divided in two steps where that product overflows."""
+    with np.errstate(over="ignore"):
+        product = factor * a1
+    return np.where(np.isfinite(product), values / product, values / factor / a1)
+
+
 def impact_factor(journals: core.JournalSet, matrix: core.CitationMatrix) -> IndicatorVector:
     """Received citations per earlier-period article."""
     a1 = core.require_published(journals, 1)
@@ -149,7 +156,7 @@ def influence_per_publication(
     """
     a1 = core.require_published(journals, 1)
     iw = influence_weights(journals, matrix, solver)
-    values = iw.values * matrix.row_sums / (journals.n * a1)
+    values = _per_article(iw.values * matrix.row_sums, journals.n, a1)
     return IndicatorVector("IPP", values, solver=iw.solver)
 
 
@@ -185,7 +192,7 @@ def article_influence(
     influence-like behavior."""
     a1 = core.require_published(journals, 1)
     ef = eigenfactor(journals, matrix, alpha, solver)
-    return IndicatorVector("AI", ef.values / (100.0 * a1), {"alpha": alpha}, ef.solver)
+    return IndicatorVector("AI", _per_article(ef.values, 100.0, a1), {"alpha": alpha}, ef.solver)
 
 
 def weighted_pagerank(

@@ -8,8 +8,8 @@ otherwise: the power path iterates it and the EF and AF flows apply it.
 
 Two independent paths solve the same fixed-point problems: dense direct
 elimination (oracle-grade on small instances) and power iteration (scales
-to larger ones). Tests cross-check them against each other and against an
-extended-precision solve, so keep the implementations independent. Direct
+to larger ones). Tests cross-check them against each other and against the
+exact rational solution, so keep the implementations independent. Direct
 elimination solves one nonsingular system at every damping, alpha = 1
 included: x (I - alpha S + 1 t^T) = (2 - alpha) t, whose solution sums
 to 1. The power path extrapolates: when its last two steps show one real

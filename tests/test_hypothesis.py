@@ -4,10 +4,14 @@ Most instances have positive citation counts (hence an irreducible,
 aperiodic pattern) and at most 12 journals, so the direct solver is exact
 and each example costs a few milliseconds. The sparse instances (21-40
 journals, below ``SPARSE_DENSITY``) reach the power path's triplet matvec.
+The cycle instances (2-8 journals, zero counts allowed) are also scored in
+exact rational arithmetic (``exact.py``), so the paper's endpoint relations
+are checked as equalities, with no tolerance.
 """
 
 import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -23,6 +27,8 @@ from journalrank import core, dataio, spectral
 from journalrank.core import SPARSE_DENSITY
 from journalrank.errors import quote
 from journalrank.spectral import SolverConfig, stationary
+
+from exact import exact_scores
 
 DIRECT = SolverConfig(method="direct")
 POWER = SolverConfig(method="power")
@@ -135,6 +141,66 @@ def test_direct_and_power_agree_on_sparse_inputs(instance, alpha):
     direct, _ = stationary(counts, alpha, teleport, DIRECT)
     power, _ = stationary(counts, alpha, teleport, POWER)
     assert np.abs(direct - power).max() < 1e-10
+
+
+EXACT_ALPHAS = (0.0, 0.25, 0.5, 0.85, 1.0)
+# Largest relative gap of a float score from the exact one: 7.4e-14 (IW and
+# IPP) over 400 seeded instances of cycle_instances' shape at EXACT_ALPHAS.
+EXACT_RTOL = 1e-12
+
+
+@st.composite
+def cycle_instances(draw, proportional=False):
+    """A (journals, matrix) pair of 2-8 journals whose integer counts hold a
+    cycle through every journal, so the pattern is irreducible and every row
+    cites, plus further counts, zeros among them. With ``proportional`` the
+    later-period article counts are one integer multiple of the earlier ones.
+    """
+    n = draw(st.integers(2, 8))
+    order = np.array(draw(st.permutations(range(n))))
+    counts = np.array(draw(st.lists(st.integers(0, 1000), min_size=n * n, max_size=n * n)), dtype=float)
+    counts = counts.reshape(n, n)
+    counts[order, np.roll(order, -1)] += draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n))
+    a1 = draw(st.lists(st.integers(1, 500), min_size=n, max_size=n))
+    if proportional:
+        eta = draw(st.integers(1, 3))
+        a2 = [eta * a for a in a1]
+    else:
+        a2 = draw(st.lists(st.integers(1, 500), min_size=n, max_size=n))
+    journals = jr.JournalSet(tuple(jr.Journal(f"J{k}", None, a1[k], a2[k]) for k in range(n)))
+    return journals, jr.CitationMatrix(counts)
+
+
+def one_ratio(numerators, denominators):
+    """The one value every numerator / denominator takes, or None."""
+    ratios = {a / b for a, b in zip(numerators, denominators)}
+    return ratios.pop() if len(ratios) == 1 else None
+
+
+@PROPERTY
+@given(cycle_instances(proportional=True))
+def test_endpoint_relations_hold_exactly(instance):
+    journals, matrix = instance
+    # Both constants follow from the formulas: AF / AI(0) is the citation
+    # total, and IPP / AI(1) the total over the journal count.
+    total = Fraction(int(matrix.row_sums.sum()))
+    af, ai0 = exact_scores("af", *instance), exact_scores("ai", *instance, alpha=0)
+    assert one_ratio(af, ai0) == total
+    ipp, ai1 = exact_scores("ipp", *instance), exact_scores("ai", *instance, alpha=1)
+    assert one_ratio(ipp, ai1) == total / journals.n
+    for alpha in EXACT_ALPHAS:
+        assert sum(exact_scores("ef", *instance, alpha=Fraction(alpha))) == 100
+
+
+@PROPERTY
+@given(cycle_instances(), st.sampled_from(EXACT_ALPHAS))
+def test_every_kind_lies_near_its_exact_scores(instance, alpha):
+    for kind, params in KINDS:
+        params = {name: alpha if name == "alpha" else value for name, value in params.items()}
+        values = jr.compute(kind, *instance, **params).values
+        exact = exact_scores(kind, *instance, **(dict(jr.indicators.KINDS[kind].params) | params))
+        expected = np.array([float(v) for v in exact])
+        np.testing.assert_allclose(values, expected, rtol=EXACT_RTOL, atol=0, err_msg=kind)
 
 
 # Ids and names mix the characters CSV must quote with any other text. NUL

@@ -481,6 +481,27 @@ class TestEdgeCases:
             vector = jr.compute(kind, huge, matrix, **params)
             assert vector.values.tobytes() == jr.compute(kind, journals, matrix, **params).values.tobytes()
 
+    @pytest.mark.parametrize("kind,params", ALL_KINDS)
+    def test_one_article_count_near_the_float_maximum(self, two_field, kind, params):
+        # J1 holds 1e308 earlier-period articles: the counts and their sum are
+        # finite, but 8 * 1e308 and 100 * 1e308 are not. IPP and AI divide by
+        # such a product in two steps; every other journal keeps the bits of
+        # the one division by the product.
+        journals, matrix = two_field
+        huge = with_count(journals, 0, 1, 1e308)
+        jr.validate(huge, matrix)
+        values = jr.compute(kind, huge, matrix, **params).values
+        assert np.all(np.isfinite(values)) and values[0] > 0, kind
+        a1 = huge.articles_t1
+        if kind == "ipp":
+            weighted = jr.influence_weights(huge, matrix).values * matrix.row_sums
+            np.testing.assert_array_equal(values[1:], weighted[1:] / (8 * a1[1:]))
+            assert values[0] == weighted[0] / 8 / 1e308
+        if kind == "ai":
+            ef = jr.eigenfactor(huge, matrix, **params).values
+            np.testing.assert_array_equal(values[1:], ef[1:] / (100.0 * a1[1:]))
+            assert values[0] == ef[0] / 100.0 / 1e308
+
     def test_negative_count_no_longer_scored_by_weighted_pagerank(self, two_field):
         # J3 = -5 leaves the article-share teleport a probability vector, so
         # only the article gate rejects it.

@@ -10,6 +10,7 @@ from journalrank.errors import NoConvergence, NotIrreducible, ZeroOutgoing
 from journalrank.spectral import SolverConfig, reference_shares, stationary
 
 from conftest import make_block
+from exact import exact_stationary
 
 ALPHAS = (0.25, 0.5, 0.85, 1.0)
 TWO_JOURNALS = jr.JournalSet((jr.Journal("A", None, 5, 5), jr.Journal("B", None, 5, 5)))
@@ -203,35 +204,9 @@ class TestStationary:
             stationary(shares, 0.5, np.array(teleport), SolverConfig(method=method))
 
 
-def mp_reference(counts, alpha, teleport=None):
-    """The fixed point to 40 digits, built in mpmath from the integer counts.
-
-    For alpha < 1 it solves the damped system x (I - alpha S) = (1 - alpha) t;
-    at alpha = 1 it solves x (I - S) = 0 with the last equation replaced by
-    sum(x) = 1, which needs no teleport. Both are independent of the
-    formulation ``spectral`` solves.
-    """
-    mpmath = pytest.importorskip("mpmath")
-    assert np.array_equal(counts, np.round(counts))
-    n = counts.shape[0]
-    with mpmath.workdps(40):
-        rows = [[mpmath.mpf(int(c)) for c in row] for row in counts]
-        sums = [mpmath.fsum(row) for row in rows]
-        a = mpmath.mpf(alpha)
-        system = mpmath.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                system[i, j] = (i == j) - a * rows[j][i] / sums[j]
-        if alpha == 1.0:
-            for j in range(n):
-                system[n - 1, j] = 1
-            rhs = mpmath.matrix(n, 1)
-            rhs[n - 1] = 1
-        else:
-            rhs = mpmath.matrix([(1 - a) * mpmath.mpf(float(v)) for v in teleport])
-        x = mpmath.lu_solve(system, rhs)
-        total = mpmath.fsum(x)
-        return np.array([float(v / total) for v in x])
+def exact_reference(counts, alpha, teleport=None):
+    """``exact.exact_stationary`` rounded to float64."""
+    return np.array([float(v) for v in exact_stationary(counts, alpha, teleport)])
 
 
 def _teleports(journals, n):
@@ -243,12 +218,12 @@ ORACLE_CROSS = (0.002, 2e-4)
 
 @pytest.fixture(scope="module")
 def weak_block80():
-    """Two 40-journal fields that cite each other rarely, each with its alpha
-    = 1 reference (about 1.3 s of mpmath each)."""
+    """Two 40-journal fields that cite each other rarely, each with its exact
+    alpha = 1 reference (about 0.2 s of integer elimination each)."""
     instances = {}
     for cross in ORACLE_CROSS:
         journals, matrix, _ = jr.block_model(jr.BlockModelSpec(40, cross_mean=cross, seed=1))
-        instances[cross] = (journals, matrix, mp_reference(matrix.counts, 1.0))
+        instances[cross] = (journals, matrix, exact_reference(matrix.counts, 1.0))
     return instances
 
 
@@ -270,9 +245,12 @@ def small_chains(two_field, near_decomposable):
 
 
 class TestExtendedPrecisionOracle:
-    """Direct elimination against a 40-digit solve. On weakly coupled fields
-    (lambda_2 up to 0.99994) at alpha = 1, swapping one equation of the
-    singular system for the sum constraint sat 2.25e-12 and 3.06e-12 L1 off."""
+    """Direct elimination against the exact rational fixed point of the integer
+    counts and the float teleport, rounded to float64 (``exact.py``). CI
+    deselects four of these tests by node id, so the class keeps its name. On
+    weakly coupled fields (lambda_2 up to 0.99994) at alpha = 1, swapping one
+    equation of the singular system for the sum constraint sat 2.25e-12 and
+    3.06e-12 L1 off."""
 
     @pytest.mark.parametrize("teleport", ("uniform", "articles"))
     @pytest.mark.parametrize("cross", ORACLE_CROSS)
@@ -287,7 +265,7 @@ class TestExtendedPrecisionOracle:
         for name, matrix, teleports in small_chains:
             for label, teleport in teleports.items():
                 p, _ = stationary(matrix, alpha, teleport, SolverConfig(method="direct"))
-                gap = np.abs(p - mp_reference(matrix.counts, alpha, teleport)).sum()
+                gap = np.abs(p - exact_reference(matrix.counts, alpha, teleport)).sum()
                 assert gap <= 5e-14, (name, label)
 
     def test_ipp_at_default_settings(self, weak_block80):
