@@ -10,7 +10,11 @@ database is, stores only its row-major non-zeros and derives its facts
 (row sums, irreducibility, journal drops) and its failure reports
 (``validate``'s unsound cells, the strongly connected components) from
 them; the dense counts of such a matrix are built only on request, by
-direct elimination and ``np.asarray``.
+direct elimination and ``np.asarray``. ``drop_journal`` returns a fresh
+matrix without one journal. Leave-one-out instead takes ``mask_journal``'s:
+for a sound dense parent a ``MaskedMatrix``, which reads the parent's
+counts through the dropped index and copies them only when a reader needs
+the reduced counts themselves.
 
 ``validate`` reports every issue of an instance; the gates that every
 indicator and solve runs, ``require_sound`` and ``require_citing``, raise
@@ -60,7 +64,6 @@ class JournalSet:
         a2.flags.writeable = False
         object.__setattr__(self, "_a1", a1)
         object.__setattr__(self, "_a2", a2)
-        object.__setattr__(self, "_index", {j.id: k for k, j in enumerate(self.journals)})
 
     @property
     def n(self) -> int:
@@ -79,6 +82,12 @@ class JournalSet:
     def articles_t2(self) -> np.ndarray:
         """Later-period article counts as a read-only float vector."""
         return self._a2
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        # Built on the first lookup: most sets, such as each reduced set of a
+        # leave-one-out sweep, are never searched by id.
+        return {j.id: k for k, j in enumerate(self.journals)}
 
     def index_of(self, journal_id: str) -> int:
         try:
@@ -185,7 +194,8 @@ class CitationMatrix:
             self.__dict__["nonzeros"] = counts
         else:
             counts.flags.writeable = False
-            with np.errstate(over="ignore"):  # an overflowing row is validate's to report
+            # An overflowing row, or one holding inf and -inf, is validate's to report.
+            with np.errstate(over="ignore", invalid="ignore"):
                 sums = counts.sum(axis=1)
             if not no_negative_cell:
                 cell = _negative_cell(counts)
@@ -628,6 +638,85 @@ def drop_journal(
     Raises TypeError unless ``index`` is an integer (bool is not one), and
     IndexOutOfRange unless it names a journal.
     """
+    k = _drop_index(journals, index)
+    kept = JournalSet(journals.journals[:k] + journals.journals[k + 1 :])
+    no_negative_cell = matrix.negative_cell is None
+    if matrix.sparse:
+        rows, cols, values = matrix.nonzeros
+        keep = (rows != k) & (cols != k)
+        rows, cols = rows[keep], cols[keep]
+        reduced = (rows - (rows > k), cols - (cols > k), values[keep])
+        return kept, CitationMatrix._adopt(reduced, n=journals.n - 1, no_negative_cell=no_negative_cell)
+    counts = matrix.counts
+    reduced = CitationMatrix._adopt(
+        _without(counts, k),
+        nonzero_count=matrix.nonzero_count - _lost_nonzeros(counts, k),
+        no_negative_cell=no_negative_cell,
+    )
+    return kept, reduced
+
+
+def mask_journal(
+    journals: JournalSet, matrix: CitationMatrix, index: int
+) -> tuple[JournalSet, CitationMatrix]:
+    """``drop_journal``'s instance, read through a sound dense parent's
+    counts instead of copied from them.
+
+    The reduced matrix of a parent with no unsound cell or sum, dense before
+    and after the drop, is a ``MaskedMatrix``; any other parent gets
+    ``drop_journal``'s. Its scores lie within rounding of the copy's, not on
+    its bits, so leave-one-out alone takes it. Raises ``drop_journal``'s
+    errors.
+    """
+    k = _drop_index(journals, index)
+    if matrix.sparse or size_mismatch(journals, matrix) or _may_be_unsound(matrix):
+        return drop_journal(journals, matrix, k)
+    nonzero_count = matrix.nonzero_count - _lost_nonzeros(matrix.counts, k)
+    if nonzero_count < SPARSE_DENSITY * (matrix.n - 1) ** 2:
+        return drop_journal(journals, matrix, k)
+    kept = JournalSet(journals.journals[:k] + journals.journals[k + 1 :])
+    return kept, MaskedMatrix(matrix, k, nonzero_count)
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class MaskedMatrix(CitationMatrix):
+    """A dense ``CitationMatrix`` of the ``parent``'s counts without journal
+    ``dropped``, holding no copy of them: ``mask_journal``'s reduced matrix.
+
+    The parent is sound, so the facts are the copy's: the non-zero count is
+    handed over, no cell is negative, and the row sums are one product of
+    the parent's counts with a 0/1 keep vector. Every term is non-negative,
+    so a journal that cited only the dropped one sums to exactly 0, and
+    integral counts sum to the copy's bits. ``spectral.share_step`` makes
+    its products through the parent's counts; what reads ``counts`` (direct
+    elimination, the irreducibility verdict, the column sums, ``validate``,
+    ``np.asarray``) gets ``drop_journal``'s copy, built on first request.
+    """
+
+    parent: CitationMatrix = field(repr=False)
+    dropped: int
+
+    def __init__(self, parent: CitationMatrix, dropped: int, nonzero_count: int):
+        keep = np.ones(parent.n)
+        keep[dropped] = 0.0
+        sums = np.delete(parent.counts @ keep, dropped)
+        sums.flags.writeable = False
+        facts = dict(n=parent.n - 1, nonzero_count=nonzero_count, sparse=False, row_sums=sums, negative_cell=None)
+        for name, value in dict(facts, parent=parent, dropped=dropped).items():
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """``drop_journal``'s read-only copy of the reduced counts."""
+        reduced = _without(self.parent.counts, self.dropped)
+        reduced.flags.writeable = False
+        return reduced
+
+
+def _drop_index(journals: JournalSet, index) -> int:
+    """``index`` as an int, or the error a drop of it raises: TypeError
+    unless it is an integer (bool is not one), IndexOutOfRange unless it
+    names a journal, ValueError for the only journal."""
     if isinstance(index, (bool, np.bool_)):
         # numpy 1.x names np.bool_ "bool_", numpy 2 "bool".
         raise TypeError(f"journal index must be an integer, got bool {quote(str(index))}")
@@ -638,23 +727,20 @@ def drop_journal(
         raise IndexOutOfRange(index, n)
     if n < 2:
         raise ValueError("cannot drop the only journal")
-    k = int(index)
-    kept = journals.journals[:k] + journals.journals[k + 1 :]
-    no_negative_cell = matrix.negative_cell is None
-    if matrix.sparse:
-        rows, cols, values = matrix.nonzeros
-        keep = (rows != k) & (cols != k)
-        rows, cols = rows[keep], cols[keep]
-        reduced = (rows - (rows > k), cols - (cols > k), values[keep])
-        return JournalSet(kept), CitationMatrix._adopt(reduced, n=n - 1, no_negative_cell=no_negative_cell)
-    counts = matrix.counts
+    return int(index)
+
+
+def _without(counts: np.ndarray, k: int) -> np.ndarray:
+    """A fresh C-ordered copy of the counts without row and column k."""
+    n = counts.shape[0]
     reduced = np.empty((n - 1, n - 1))
     reduced[:k, :k] = counts[:k, :k]
     reduced[:k, k:] = counts[:k, k + 1 :]
     reduced[k:, :k] = counts[k + 1 :, :k]
     reduced[k:, k:] = counts[k + 1 :, k + 1 :]
-    lost = np.count_nonzero(counts[k]) + np.count_nonzero(counts[:, k]) - (counts[k, k] != 0)
-    reduced_matrix = CitationMatrix._adopt(
-        reduced, nonzero_count=matrix.nonzero_count - int(lost), no_negative_cell=no_negative_cell
-    )
-    return JournalSet(kept), reduced_matrix
+    return reduced
+
+
+def _lost_nonzeros(counts: np.ndarray, k: int) -> int:
+    """The non-zero cells of row and column k."""
+    return int(np.count_nonzero(counts[k]) + np.count_nonzero(counts[:, k]) - (counts[k, k] != 0))

@@ -47,7 +47,13 @@ _ENDPOINT_SPREAD = 1e-9
 # nothing (IF, AF) is one product, too short to repay the helper thread: AF
 # on the dense fields read 0.8-1.6 -> 1.1-1.8 ms at 2.0-5.1 MB, 2.1 -> 2.2
 # ms at 8 MB. Forced direct, AI(0.85) and SJR on the dense fields read 26 ->
-# 14.5 ms at n = 560 and 82 -> 44 ms at n = 1000.
+# 14.5 ms at n = 560 and 82 -> 44 ms at n = 1000. Those dense figures had
+# each drop copy its reduced counts. Without the copy (core.MaskedMatrix),
+# same host and fields (cross_mean 0.02, seed 3), AI(0.85) and SJR read: n =
+# 500, 2.9-3.4 -> 4.0-4.1 ms, still a loss; n = 520, 3.3-3.5 -> 2.9-3.4 ms;
+# n = 560, 4.1-4.4 -> 3.1-3.5 ms; n = 660, 5.4-6.0 -> 3.2-3.6 ms; n = 1000,
+# 11.7-12.3 -> 7.3 ms. The crossover did not move; AF still lost at 2.0-3.5
+# MB (0.6-0.7 -> 0.8-1.0 ms).
 OVERLAP_BYTES = 2_500_000
 
 
@@ -307,7 +313,7 @@ def _full_values(journals: core.JournalSet, matrix: core.CitationMatrix, kind: s
 def _reduced_values(
     journals: core.JournalSet, matrix: core.CitationMatrix, dropped: int, kind: str, params: dict
 ) -> np.ndarray:
-    reduced_journals, reduced_matrix = core.drop_journal(journals, matrix, dropped)
+    reduced_journals, reduced_matrix = core.mask_journal(journals, matrix, dropped)
     try:
         return indicators.compute(kind, reduced_journals, reduced_matrix, **params).values
     except (ZeroArticles, ZeroArticlesT2, ZeroOutgoing, NotIrreducible) as err:

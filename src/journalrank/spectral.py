@@ -1,9 +1,12 @@
 """The citation-share operator and its stationary vectors.
 
 The only module that knows how the share matrix S = diag(1 / row_sums) @
-counts acts. ``share_step(matrix)`` is the product x -> x @ S, over the
-stored non-zeros of a sparse-stored matrix and over the dense counts
-otherwise: the power path iterates it and the EF and AF flows apply it.
+counts acts. ``share_step(matrix)`` is the product x -> x @ S in one of
+three storages: over the stored non-zeros of a sparse-stored matrix, over
+the dense counts of a dense one, and, for leave-one-out's reduced matrix
+of a dense one (``core.MaskedMatrix``), over the full counts with a 0 at
+the dropped journal. The power path iterates it and the EF and AF flows
+apply it.
 ``reference_shares`` builds S densely, for the direct path.
 
 Two independent paths solve the same fixed-point problems: dense direct
@@ -130,13 +133,29 @@ def share_step(matrix: core.CitationMatrix):
 
     On a sparse-stored matrix (``core.SPARSE_DENSITY``) it sums over the
     stored non-zeros alone, each divided by its row sum once per call of
-    ``share_step``; a dense one uses ``(x / row_sums) @ counts``. The
+    ``share_step``; a dense one uses ``(x / row_sums) @ counts``, and a
+    ``core.MaskedMatrix`` the same product with its parent's counts, x / row_sums
+    placed around a 0 at the dropped journal and that journal's entry
+    deleted from the result, so no reduced counts are copied. The
     non-zeros are row-major, so repeating each x_j (and each row sum) by
     its row's non-zero count gives the same array as the gather
     ``x[rows]``, at less cost. Meaningful once every row sum is positive.
     """
     n = matrix.n
     sums = matrix.row_sums
+    if isinstance(matrix, core.MaskedMatrix):
+        counts, k = matrix.parent.counts, matrix.dropped
+
+        def masked_step(x):
+            # x / row_sums in the parent's journals, 0 at the dropped one.
+            scaled = np.empty(n + 1)
+            np.divide(x[:k], sums[:k], out=scaled[:k])
+            scaled[k] = 0.0
+            np.divide(x[k:], sums[k:], out=scaled[k + 1 :])
+            flow = scaled @ counts
+            return np.concatenate((flow[:k], flow[k + 1 :]))
+
+        return masked_step
     if not matrix.sparse:
         counts = matrix.counts
         return lambda x: (x / sums) @ counts

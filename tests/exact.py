@@ -12,6 +12,11 @@ from math import lcm
 
 import numpy as np
 
+# The relative gap of a float score from the exact one that the tests allow.
+# The largest measured: 7.4e-14 (IW and IPP) over 400 seeded instances of
+# test_hypothesis.cycle_instances' shape at its EXACT_ALPHAS.
+EXACT_RTOL = 1e-12
+
 
 def exact_stationary(counts, alpha, teleport=None):
     """The fixed point of the integer counts as Fractions: of x (I - alpha S) =

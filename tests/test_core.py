@@ -1,6 +1,8 @@
 import copy
+import re
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -437,6 +439,67 @@ class TestDropJournal:
             assert one_component(reduced.counts) == reduced.irreducible
 
 
+def assert_same_facts(reduced, expected):
+    assert (reduced.n, reduced.nonzero_count, reduced.sparse) == (expected.n, expected.nonzero_count, expected.sparse)
+    assert reduced.negative_cell == expected.negative_cell
+    assert reduced.counts.tobytes() == expected.counts.tobytes()
+    assert not reduced.counts.flags.writeable and not reduced.row_sums.flags.writeable
+    assert np.asarray(reduced) is reduced.counts
+    assert reduced.irreducible == expected.irreducible
+
+
+class TestMaskJournal:
+    def test_facts_are_the_copys(self):
+        journals, matrix, _ = jr.block_model(jr.BlockModelSpec(20, within_mean=0.4, cross_mean=0.02, seed=3))
+        scaled = jr.CitationMatrix(matrix.counts * np.random.default_rng(5).uniform(0.5, 1.5, size=(40, 40)))
+        for parent in (matrix, scaled):
+            for index in (0, 17, 39):
+                masked_journals, masked = core.mask_journal(journals, parent, index)
+                copied_journals, copied = jr.drop_journal(journals, parent, index)
+                assert type(masked) is core.MaskedMatrix and masked.parent is parent and masked.dropped == index
+                assert masked_journals == copied_journals
+                assert_same_facts(masked, copied)
+                if parent is matrix:  # integral counts sum exactly
+                    assert masked.row_sums.tobytes() == copied.row_sums.tobytes()
+                np.testing.assert_allclose(masked.row_sums, copied.row_sums, rtol=1e-14, atol=0)
+
+    def test_a_journal_citing_only_the_dropped_one_sums_to_zero(self):
+        rng = np.random.default_rng(5)
+        counts = rng.uniform(0.5, 1.5, size=(6, 6))
+        counts[2] = 0.0
+        counts[2, 4] = 1e17 * np.pi
+        journals = journals_of(*((f"J{k}", 1, 1) for k in range(6)))
+        _, masked = core.mask_journal(journals, jr.CitationMatrix(counts), 4)
+        assert isinstance(masked, core.MaskedMatrix)
+        assert masked.row_sums[2] == 0.0 and np.all(np.delete(masked.row_sums, 2) > 0)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            np.eye(50) + np.roll(np.eye(50), 1, axis=1),  # 4 % of the cells: sparse
+            np.where(np.eye(6) > 0, -1.0, 2.0),  # negative cells
+            np.full((6, 6), 1e308),  # row sums beyond the float range
+            np.vstack([np.ones((1, 20)), np.zeros((19, 20))]),  # dense, and sparse without journal 0
+        ],
+        ids=["sparse", "negative", "overflow", "sparse_after"],
+    )
+    def test_other_parents_get_drop_journals_instance(self, counts):
+        journals = journals_of(*((f"J{k}", 1, 1) for k in range(len(counts))))
+        matrix = jr.CitationMatrix(counts)
+        masked_journals, masked = core.mask_journal(journals, matrix, 0)
+        copied_journals, copied = jr.drop_journal(journals, matrix, 0)
+        assert type(masked) is jr.CitationMatrix and masked_journals == copied_journals
+        assert_same_facts(masked, copied)
+        assert masked.row_sums.tobytes() == copied.row_sums.tobytes()
+
+    @pytest.mark.parametrize("index", [1.5, True, np.True_, "3", 8, -1])
+    def test_bad_index_raises_drop_journals_error(self, two_field, index):
+        with pytest.raises((TypeError, IndexError)) as copied:
+            jr.drop_journal(*two_field, index)
+        with pytest.raises(type(copied.value), match=f"^{re.escape(str(copied.value))}$"):
+            core.mask_journal(*two_field, index)
+
+
 class TestInvariants:
     def test_row_sum_total_matches_grand_total(self, zoo):
         for _, _, matrix in zoo:
@@ -461,8 +524,27 @@ class TestInvariants:
     def test_index_of(self, two_field):
         journals, _ = two_field
         assert journals.index_of("J3") == 2
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="^\"unknown journal id 'nope'\"$"):
             journals.index_of("nope")
+
+    def test_lookup_map_leaves_equality_alone(self, two_field):
+        journals, _ = two_field
+        fresh = jr.JournalSet(journals.journals)
+        assert "_index" not in vars(fresh)
+        assert fresh.index_of("J8") == 7 and "_index" in vars(fresh)
+        assert fresh == jr.JournalSet(journals.journals) and fresh.ids == journals.ids
+        assert hash(fresh) == hash(jr.JournalSet(journals.journals))
+
+    def test_a_row_of_inf_and_minus_inf_is_left_to_validate(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix = jr.CitationMatrix(np.array([[np.inf, -np.inf], [1.0, 1.0]]))
+        with pytest.raises(ValidationError) as err:
+            jr.validate(journals_of(("a", 1, 1), ("b", 1, 1)), matrix)
+        assert [(i.code, i.message, i.cell) for i in err.value.issues] == [
+            ("NonFiniteCount", "matrix cell (0, 0) is not finite", (0, 0)),
+            ("NonFiniteCount", "matrix cell (0, 1) is not finite", (0, 1)),
+        ]
 
     def test_array_holding_values_compare_and_hash_by_identity(self, two_field):
         # A field-by-field __eq__ compares arrays, which have no single truth

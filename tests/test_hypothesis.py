@@ -28,7 +28,7 @@ from journalrank.core import SPARSE_DENSITY
 from journalrank.errors import quote
 from journalrank.spectral import SolverConfig, stationary
 
-from exact import exact_scores
+from exact import EXACT_RTOL, exact_scores
 
 DIRECT = SolverConfig(method="direct")
 POWER = SolverConfig(method="power")
@@ -144,9 +144,6 @@ def test_direct_and_power_agree_on_sparse_inputs(instance, alpha):
 
 
 EXACT_ALPHAS = (0.0, 0.25, 0.5, 0.85, 1.0)
-# Largest relative gap of a float score from the exact one: 7.4e-14 (IW and
-# IPP) over 400 seeded instances of cycle_instances' shape at EXACT_ALPHAS.
-EXACT_RTOL = 1e-12
 
 
 @st.composite

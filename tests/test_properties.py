@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ import pytest
 import journalrank as jr
 from journalrank import core, properties
 from journalrank.core import CitationMatrix, Journal, JournalSet
-from journalrank.errors import NotIrreducible, PreconditionViolated, ZeroOutgoing
+from journalrank.errors import NotIrreducible, PreconditionViolated, ZeroArticles, ZeroOutgoing
 from journalrank.spectral import SolverConfig
 
 from conftest import make_block
+from exact import EXACT_RTOL, exact_scores
 
 DIRECT = SolverConfig(method="direct")
 
@@ -663,6 +665,102 @@ class TestOverlappedLeaveOneOut:
         with np.errstate(all="raise"):
             jr.leave_one_out(journals, matrix, 3, "ai")
         assert sorted(seen) == [(False, "raise"), (True, "raise")]
+
+
+@pytest.fixture(scope="module")
+def dense_fields():
+    """block_model's dense 100-journal fields, with their integral counts and
+    with the same counts times uniform(0.5, 1.5)."""
+    journals, matrix, _ = jr.block_model(jr.BlockModelSpec(50, within_mean=0.4, cross_mean=0.02, seed=3))
+    scaled = matrix.counts * np.random.default_rng(5).uniform(0.5, 1.5, size=matrix.counts.shape)
+    return {"integral": (journals, matrix), "scaled": (journals, CitationMatrix(scaled))}
+
+
+def assert_fresh_drops_error(call, monkeypatch):
+    """``call()`` raises the error it raises on freshly built reduced
+    matrices, in type and text; returns both errors."""
+    with pytest.raises(Exception) as masked:
+        call()
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "mask_journal", fresh_drop)
+        with pytest.raises(Exception) as copied:
+            call()
+    assert type(masked.value) is type(copied.value)
+    assert str(masked.value) == str(copied.value)
+    return masked.value, copied.value
+
+
+class TestMaskedLeaveOneOut:
+    """A dense parent's drops read its counts through the dropped index
+    (``core.mask_journal``): the reports lie within rounding of those on a
+    fresh copy, the errors are the copy's, and no counts are copied."""
+
+    @pytest.mark.parametrize("counts", ["integral", "scaled"])
+    @pytest.mark.parametrize("method", ["auto", "power"])
+    @pytest.mark.parametrize("kind, params", OVERLAP_KINDS)
+    def test_reports_lie_near_a_fresh_copys(self, dense_fields, counts, method, kind, params):
+        journals, matrix = dense_fields[counts]
+        solver = SolverConfig(method=method)
+        for dropped in (0, journals.n // 2, journals.n - 1):
+            assert isinstance(core.mask_journal(journals, matrix, dropped)[1], core.MaskedMatrix)
+            report = jr.leave_one_out(journals, matrix, dropped, kind, solver=solver, **params)
+            expected = jr.compute(kind, *fresh_drop(journals, matrix, dropped), solver=solver, **params).values
+            np.testing.assert_allclose(report.after, expected, rtol=1e-12, atol=0)
+
+    def test_small_instance_matches_the_exact_scores(self):
+        journals, matrix, _ = make_block(seed=5, m=5)
+        dropped = 3
+        assert isinstance(core.mask_journal(journals, matrix, dropped)[1], core.MaskedMatrix)
+        reduced_journals, reduced = fresh_drop(journals, matrix, dropped)
+        for kind, params in OVERLAP_KINDS:
+            after = jr.leave_one_out(journals, matrix, dropped, kind, **params).after
+            defaults = dict(jr.indicators.KINDS[kind].params)
+            exact = exact_scores(kind, reduced_journals, reduced.counts, **(defaults | params))
+            np.testing.assert_allclose(after, [float(v) for v in exact], rtol=EXACT_RTOL, atol=0, err_msg=kind)
+
+    @pytest.mark.parametrize("counts", ["integral", "scaled"])
+    @pytest.mark.parametrize("kind", ["af", "ai"])
+    def test_survivor_citing_only_the_dropped_journal(self, dense_fields, monkeypatch, counts, kind):
+        journals, matrix = dense_fields[counts]
+        cited = np.array(matrix.counts)
+        cited[7] = 0.0
+        cited[7, 60] = 5.3
+        dangling = CitationMatrix(cited)
+        assert isinstance(core.mask_journal(journals, dangling, 60)[1], core.MaskedMatrix)
+        err, _ = assert_fresh_drops_error(lambda: jr.leave_one_out(journals, dangling, 60, kind), monkeypatch)
+        assert isinstance(err, ZeroOutgoing) and err.index == 7
+
+    @pytest.mark.parametrize("dropped", [0, 2, 4])
+    def test_reducible_reduced_instance(self, monkeypatch, dropped):
+        # A 5-cycle with self-citations: every drop cuts it into a path.
+        journals = JournalSet(tuple(Journal(f"J{k}", None, 3, 3) for k in range(5)))
+        matrix = CitationMatrix(np.eye(5) + np.roll(np.eye(5), 1, axis=1))
+        assert isinstance(core.mask_journal(journals, matrix, dropped)[1], core.MaskedMatrix)
+        err, copied = assert_fresh_drops_error(lambda: jr.leave_one_out(journals, matrix, dropped, "ipp"), monkeypatch)
+        assert isinstance(err, NotIrreducible) and err.components == copied.components
+        assert sorted(i for c in err.components for i in c) == [k for k in range(5) if k != dropped]
+
+    @pytest.mark.parametrize("kind, params", [("ef", {}), ("wpr", {"beta": 0.9, "gamma": 0.1})])
+    def test_survivors_without_articles(self, dense_fields, monkeypatch, kind, params):
+        # Only the dropped journal published in the earlier period, so the
+        # survivors' article share has no total.
+        journals, matrix = dense_fields["integral"]
+        alone = JournalSet(tuple(Journal(j.id, None, 50 * (k == 30), 10) for k, j in enumerate(journals.journals)))
+        call = lambda: jr.leave_one_out(alone, matrix, 30, kind, **params)
+        err, _ = assert_fresh_drops_error(call, monkeypatch)
+        assert isinstance(err, ZeroArticles) and err.index == 0
+
+    def test_a_dense_drop_copies_no_counts(self):
+        journals, matrix, _ = jr.block_model(jr.BlockModelSpec(300, within_mean=0.4, cross_mean=0.02, seed=3))
+        assert not matrix.sparse
+        jr.leave_one_out(journals, matrix, 0, "ai", alpha=0.85)
+        tracemalloc.start()
+        try:
+            jr.leave_one_out(journals, matrix, 417, "ai", alpha=0.85)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (journals.n - 1) ** 2
 
 
 def dense_instance(n):

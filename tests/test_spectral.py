@@ -315,8 +315,8 @@ class TestSparsePowerPath:
 
 
 class TestShareStep:
-    """``share_step`` is the one product x -> x @ S; both of its realizations
-    agree with the dense share matrix, and the indicators' flows do not
+    """``share_step`` is the one product x -> x @ S; each of its realizations
+    agrees with the dense share matrix, and the indicators' flows do not
     depend on which one runs."""
 
     # Above 1 even a matrix without a zero cell is stored sparse.
@@ -331,6 +331,20 @@ class TestShareStep:
             for x in (journals.articles_t2, rng.dirichlet(np.ones(matrix.n))):
                 step = spectral.share_step(matrix)(x)
                 np.testing.assert_allclose(step, x @ shares, rtol=1e-14, atol=0, err_msg=name)
+
+    def test_masked_product_matches_the_copys_share_matrix(self, zoo):
+        rng = np.random.default_rng(5)
+        masked = 0
+        for name, journals, stored in zoo:
+            if stored.n < 3:
+                continue
+            reduced_journals, matrix = core.mask_journal(journals, stored, stored.n // 2)
+            masked += isinstance(matrix, core.MaskedMatrix)
+            shares = reference_shares(matrix)
+            for x in (reduced_journals.articles_t2, rng.dirichlet(np.ones(matrix.n))):
+                step = spectral.share_step(matrix)(x)
+                np.testing.assert_allclose(step, x @ shares, rtol=1e-14, atol=0, err_msg=name)
+        assert masked >= 6
 
     def test_sparse_sum_repeats_the_gather_bitwise(self):
         # The sparse sum spreads x over the non-zeros by repeating each x_j
