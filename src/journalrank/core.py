@@ -128,7 +128,8 @@ class CitationMatrix:
     non-zeros of a dense matrix and the dense counts of a sparse one in
     full on first use, so concurrent first use is safe. Construction only
     enforces squareness; content checks live in ``validate`` so that one
-    call reports every violation. How the shares act is ``spectral``'s.
+    call reports every violation. How the shares act is ``spectral``'s, and
+    so is ``undamped_solves``, the store of its alpha = 1 vectors.
     ``np.asarray(matrix)`` gives the counts.
     """
 
@@ -257,6 +258,13 @@ class CitationMatrix:
                 lambda frontier: pattern[:, frontier].any(axis=1),
             )
         return all(_reaches_all(n, step) for step in steps)
+
+    @cached_property
+    def undamped_solves(self) -> dict:
+        """``spectral.undamped``'s store: each SolverConfig it has solved
+        under, mapped to the read-only alpha = 1 vector and its report.
+        Concurrent first use may solve twice, to the same bits."""
+        return {}
 
 
 def _negative_cell(counts: np.ndarray) -> tuple[int, int] | None:

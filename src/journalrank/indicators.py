@@ -17,6 +17,12 @@ Scale conventions worth knowing:
   recovers the classic normalization.
 * Damped stationary scores sum to 100 (total basis) and their per-article
   variant divides that by 100 times the article count.
+
+Damped vectors (alpha < 1) are solved on every call. At alpha = 1 the
+teleport drops out, so IW, IPP, EF(1), AI(1), WPR(1, 0) and SJR(1, 0) read
+one vector, ``spectral.undamped``'s, solved once per matrix and solver
+configuration from the uniform start; ``_stationary`` routes the damped
+kinds to it at alpha = 1.
 """
 
 from __future__ import annotations
@@ -98,6 +104,21 @@ def _per_article(values: np.ndarray, factor: float, a1: np.ndarray) -> np.ndarra
     return np.where(np.isfinite(product), values / product, values / factor / a1)
 
 
+def _stationary(
+    matrix: core.CitationMatrix,
+    alpha: float,
+    teleport: np.ndarray | None,
+    solver: spectral.SolverConfig | None,
+) -> tuple[np.ndarray, spectral.SolverReport]:
+    """``spectral.stationary``, solved on every call, except at alpha = 1:
+    there no teleport moves the fixed point, and the matrix's stored
+    ``spectral.undamped`` vector is returned, without reading ``teleport``
+    (None for WPR at beta = 1)."""
+    if alpha == 1.0:
+        return spectral.undamped(matrix, solver)
+    return spectral.stationary(matrix, alpha, teleport, solver)
+
+
 def impact_factor(journals: core.JournalSet, matrix: core.CitationMatrix) -> IndicatorVector:
     """Received citations per earlier-period article."""
     a1 = core.require_published(journals, 1)
@@ -131,11 +152,12 @@ def influence_weights(
     The returned vector w satisfies w[i] = sum_j w[j] * counts[j, i] / s[i]
     and is scaled so that the citation-weighted mean weight is one:
     sum_i w[i] * s[i] equals sum_i s[i]. w is the undamped (alpha = 1)
-    stationary vector of the row-normalized counts divided by the row sums.
+    stationary vector of the row-normalized counts divided by the row sums,
+    ``spectral.undamped``'s: solved once per matrix and solver
+    configuration, from the uniform start.
     """
     sums = core.require_citing(matrix, journals)
-    uniform = np.full(matrix.n, 1.0 / matrix.n)
-    q, report = spectral.stationary(matrix, 1.0, uniform, solver)
+    q, report = spectral.undamped(matrix, solver)
     direction = q / sums
     scale = sums.sum() / float(direction @ sums)
     return IndicatorVector("IW", direction * scale, solver=report)
@@ -172,11 +194,13 @@ def eigenfactor(
     p[i] = alpha * sum_j p[j] * counts[j, i] / s[j] + (1 - alpha) * a1[i] / sum(a1),
     and the score of journal i is 100 times the citation flow it receives
     under p, p @ S through the solver's own product ``spectral.share_step``.
-    alpha = 1 requires an irreducible matrix.
+    p is solved on every call for alpha < 1. alpha = 1 requires an
+    irreducible matrix, and p is then IW's undamped vector, solved once per
+    matrix and solver configuration, from the uniform start.
     """
     core.require_citing(matrix, journals)
     teleport = _article_share(journals)
-    p, report = spectral.stationary(matrix, alpha, teleport, solver)
+    p, report = _stationary(matrix, alpha, teleport, solver)
     scores = 100.0 * spectral.share_step(matrix)(p)
     return IndicatorVector("EF", scores, {"alpha": alpha}, report)
 
@@ -206,8 +230,10 @@ def weighted_pagerank(
 
     Solves r[i] = beta * sum_j r[j] * counts[j, i] / s[j]
                  + gamma * a1[i] / sum(a1) + (1 - beta - gamma) / n
-    with sum(r) = 1. beta = 1 (hence gamma = 0) is the pure eigen-problem
-    and requires irreducibility.
+    with sum(r) = 1, solved on every call for beta < 1. beta = 1 (hence
+    gamma = 0) is the pure eigen-problem and requires irreducibility; r is
+    then IW's undamped vector, solved once per matrix and solver
+    configuration, from the uniform start.
     """
     # Written so that a NaN beta or gamma fails the check too.
     if not (beta >= 0 and gamma >= 0 and beta + gamma <= 1 + 1e-12):
@@ -215,7 +241,7 @@ def weighted_pagerank(
     core.require_citing(matrix, journals)
     n = journals.n
     if beta == 1.0:
-        teleport = np.full(n, 1.0 / n)
+        teleport = None  # the undamped vector reads no teleport
     else:
         # At beta + gamma = 1 the subtraction can round to -1e-17; clamp it so
         # a journal without earlier-period articles keeps a zero teleport.
@@ -223,7 +249,7 @@ def weighted_pagerank(
         if gamma > 0:
             mix = mix + gamma * _article_share(journals)
         teleport = mix / (1.0 - beta)
-    r, report = spectral.stationary(matrix, beta, teleport, solver)
+    r, report = _stationary(matrix, beta, teleport, solver)
     return IndicatorVector("WPR", r, {"beta": beta, "gamma": gamma}, report)
 
 

@@ -383,7 +383,12 @@ def ipp_endpoint_check(
     solver: spectral.SolverConfig | None = None,
 ) -> ProportionalityReport:
     """Verify the per-article influence matches the fully damped per-article
-    stationary score up to one constant. Requires an irreducible matrix."""
+    stationary score up to one constant. Requires an irreducible matrix.
+
+    IPP and AI(1) read one stored solve, ``spectral.undamped(matrix,
+    solver)``: IPP is proportional to q over the article counts and AI(1) to
+    q times the share matrix over them. So this checks that q is a fixed
+    point of one step, not that two solves from different starts agree."""
     ipp = indicators.influence_per_publication(journals, matrix, solver)
     ai1 = indicators.article_influence(journals, matrix, alpha=1.0, solver=solver)
     return _ratio_report(ipp.values, ai1.values)

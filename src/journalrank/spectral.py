@@ -29,8 +29,13 @@ and, at alpha = 1 once plain steps have not settled within a fixed budget
 iterate a = x, a half-lazy step that converges on every irreducible chain.
 An alpha = 1 solve checks irreducibility with
 ``core.require_irreducible``; the strongly connected components are
-computed only to describe a failure. Solved vectors are not cached: every
-call solves.
+computed only to describe a failure.
+
+``stationary`` solves on every call, from its teleport. At alpha = 1 the
+teleport drops out of the fixed point, and every indicator reads one
+vector q, the stationary distribution of S: ``undamped`` solves it once
+per matrix and SolverConfig, from the uniform start, and stores it on the
+matrix. Damped vectors (alpha < 1) are solved on every call.
 """
 
 from __future__ import annotations
@@ -253,10 +258,12 @@ def stationary(
         on its construction, irreducibility on first use.
     alpha : damping weight in [0, 1]. 0 returns the teleport vector exactly;
         1 solves the pure eigen-problem and requires an irreducible pattern.
-    teleport : non-negative vector summing to 1.
+    teleport : non-negative vector summing to 1, and the power path's start.
     config : solver settings; defaults to ``SolverConfig()``.
 
     Returns the probability vector (non-negative, sums to 1) and a report.
+    Every call solves; the indicators take their alpha = 1 vector from
+    ``undamped`` instead, which solves it once per matrix and config.
     """
     config = config or SolverConfig()
     matrix = shares if isinstance(shares, core.CitationMatrix) else core.CitationMatrix(shares)
@@ -283,3 +290,29 @@ def stationary(
     if method == "direct":
         return _direct(matrix, alpha, teleport)
     return _power(matrix, alpha, teleport, config)
+
+
+def undamped(
+    matrix: core.CitationMatrix, config: SolverConfig | None = None
+) -> tuple[np.ndarray, SolverReport]:
+    """The alpha = 1 vector q of ``matrix`` and the report of its solve,
+    ``stationary(matrix, 1.0, uniform, config)``, solved once per matrix and
+    config.
+
+    Every call runs ``core.require_citing`` and ``core.require_irreducible``.
+    The first solve under each ``SolverConfig`` is stored on the matrix
+    (``CitationMatrix.undamped_solves``), so it lives as long as the matrix;
+    later calls return the same read-only vector and report. A solve that
+    raises stores nothing, and the next call solves again.
+    """
+    config = config or SolverConfig()
+    core.require_citing(matrix)
+    core.require_irreducible(matrix)
+    store = matrix.undamped_solves
+    solved = store.get(config)
+    if solved is None:
+        # Through the module global, so a wrapped stationary sees the solve.
+        q, report = stationary(matrix, 1.0, np.full(matrix.n, 1.0 / matrix.n), config)
+        q.flags.writeable = False
+        solved = store[config] = (q, report)
+    return solved

@@ -17,6 +17,20 @@ def make_block(seed, m=4, within=25.0, cross=3.0, eta=1.0, articles=100, within2
     return jr.block_model(spec)
 
 
+def counted_solves(monkeypatch):
+    """Wrap ``spectral.stationary`` and return the list that each call
+    appends its (alpha, config) to."""
+    calls = []
+    solve = jr.spectral.stationary
+
+    def counted(matrix, alpha, teleport, config=None):
+        calls.append((alpha, config))
+        return solve(matrix, alpha, teleport, config)
+
+    monkeypatch.setattr(jr.spectral, "stationary", counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def two_field():
     return jr.two_field_example()

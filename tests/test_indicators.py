@@ -11,6 +11,8 @@ from journalrank.errors import (
 from journalrank.indicators import IndicatorVector
 from journalrank.spectral import SolverConfig
 
+from conftest import counted_solves, make_block
+
 DIRECT = SolverConfig(method="direct")
 POWER = SolverConfig(method="power")
 
@@ -364,6 +366,47 @@ class TestCrossCuttingInvariants:
             np.testing.assert_allclose(after, factor * base, rtol=1e-9, err_msg=kind)
 
 
+UNDAMPED_KINDS = (
+    ("iw", {}),
+    ("ipp", {}),
+    ("ef", {"alpha": 1.0}),
+    ("ai", {"alpha": 1.0}),
+    ("wpr", {"beta": 1.0, "gamma": 0.0}),
+    ("sjr", {"beta": 1.0, "gamma": 0.0}),
+)
+
+
+class TestUndampedSharing:
+    """At alpha = 1 every kind reads the matrix's one undamped vector,
+    solved once per solver configuration; damped vectors are solved on
+    every call."""
+
+    def test_one_solve_per_config(self, two_field, monkeypatch):
+        journals, matrix = two_field
+        matrix = jr.CitationMatrix(matrix.counts)  # a store of its own
+        calls = counted_solves(monkeypatch)
+        # None and the default config are one key.
+        for config in (None, SolverConfig(), DIRECT, POWER):
+            vectors = [jr.compute(kind, journals, matrix, solver=config, **params) for kind, params in UNDAMPED_KINDS]
+            assert len({id(v.solver) for v in vectors}) == 1, config
+        # Forced direct and forced power solve apart, so they still check each other.
+        assert calls == [(1.0, SolverConfig()), (1.0, DIRECT), (1.0, POWER)]
+        assert [report.method_used for _, report in matrix.undamped_solves.values()] == ["direct", "direct", "power"]
+        for _ in range(2):
+            jr.compute("ef", journals, matrix, alpha=0.85)
+        assert [alpha for alpha, _ in calls[3:]] == [0.85, 0.85]
+
+    @pytest.mark.parametrize("config", (DIRECT, POWER))
+    def test_scores_read_the_undamped_vector(self, two_field, config):
+        journals, matrix = two_field
+        q, report = jr.spectral.undamped(matrix, config)
+        ef = jr.compute("ef", journals, matrix, alpha=1.0, solver=config)
+        wpr = jr.compute("wpr", journals, matrix, beta=1.0, gamma=0.0, solver=config)
+        np.testing.assert_array_equal(ef.values, 100.0 * jr.spectral.share_step(matrix)(q))
+        np.testing.assert_array_equal(wpr.values, q)
+        assert ef.solver == wpr.solver == report
+
+
 def bipartite_cycle():
     """Six journals, each citing the next one and the one opposite: every
     citation goes between an even and an odd index, so the chain has period 2."""
@@ -399,6 +442,28 @@ class TestEdgeCases:
         journals, matrix = bipartite_cycle()
         for solver in (DIRECT, POWER):
             assert jr.ipp_endpoint_check(journals, matrix, solver).passed
+
+    @pytest.mark.parametrize("instance", ("periodic", "sparse"))
+    def test_undamped_power_solve_is_start_free(self, instance):
+        # IPP and AI(1) share one stored solve from the uniform start, so the
+        # endpoint check no longer compares two starts. Power steps from the
+        # article share, the start EF(1) and AI(1) once used, must reach the
+        # same fixed point: on a period-2 chain and on a sparse instance above
+        # DIRECT_LIMIT, within the endpoint check's spread.
+        if instance == "periodic":
+            journals, matrix = bipartite_cycle()
+        else:
+            journals, matrix, _ = make_block(seed=3, m=200, within=0.025, cross=0.0025)
+            assert matrix.sparse and matrix.n > jr.spectral.DIRECT_LIMIT
+        a1 = np.array([j.articles_t1 for j in journals.journals], dtype=float)
+        share = a1 / a1.sum()
+        assert np.ptp(share) > 0
+        stored, stored_report = jr.spectral.undamped(matrix, POWER)
+        started, started_report = jr.spectral.stationary(matrix, 1.0, share, POWER)
+        assert stored_report.method_used == started_report.method_used == "power"
+        ratios = started / stored
+        assert ratios.max() / ratios.min() - 1.0 < 1e-9
+        assert np.abs(started - stored).sum() < 1e-10
 
     @pytest.mark.parametrize("kind,params", ALL_KINDS)
     def test_single_self_citing_journal(self, kind, params):

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 import journalrank as jr
-from journalrank import core, properties
+from journalrank import core, properties, spectral
 from journalrank.core import CitationMatrix, Journal, JournalSet
 from journalrank.errors import NotIrreducible, PreconditionViolated, ZeroArticles, ZeroOutgoing
 from journalrank.spectral import SolverConfig
 
-from conftest import make_block
+from conftest import counted_solves, make_block
 from exact import EXACT_RTOL, exact_scores
 
 DIRECT = SolverConfig(method="direct")
@@ -882,6 +882,14 @@ class TestEndpointChecks:
         js2, cm2, _ = near_decomposable
         report = jr.ipp_endpoint_check(js2, cm2)
         assert report.passed
+
+    def test_influence_endpoint_solves_the_undamped_vector_once(self, monkeypatch):
+        # IPP and AI(1) read one alpha = 1 vector, here on the power path.
+        journals, matrix, _ = make_block(seed=3, m=200, within=0.025, cross=0.0025)
+        assert matrix.sparse and matrix.n > spectral.DIRECT_LIMIT
+        solves = counted_solves(monkeypatch)
+        assert jr.ipp_endpoint_check(journals, matrix).passed
+        assert solves == [(1.0, SolverConfig())]
 
     def test_influence_endpoint_requires_irreducibility(self):
         journals = JournalSet((Journal("a", None, 5, 5), Journal("b", None, 5, 5)))

@@ -9,7 +9,7 @@ from journalrank import core, spectral
 from journalrank.errors import NoConvergence, NotIrreducible, ZeroOutgoing
 from journalrank.spectral import SolverConfig, reference_shares, stationary
 
-from conftest import make_block
+from conftest import counted_solves, make_block
 from exact import exact_stationary
 
 ALPHAS = (0.25, 0.5, 0.85, 1.0)
@@ -462,6 +462,64 @@ class TestOperatorFacts:
         for (x, report), (y, expected_report) in zip(results, expected):
             np.testing.assert_array_equal(x, y)
             assert report == expected_report
+
+
+class TestUndamped:
+    """``undamped`` solves the alpha = 1 vector once per matrix and config,
+    stores it on the matrix, and still runs its checks on every call."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        return counted_solves(monkeypatch)
+
+    @pytest.mark.parametrize("method", ("direct", "power"))
+    def test_a_hit_is_a_fresh_solve(self, two_field, solves, method):
+        config = SolverConfig(method=method)
+        matrix = jr.CitationMatrix(two_field[1].counts)
+        q, report = spectral.undamped(matrix, config)
+        hit, hit_report = spectral.undamped(matrix, config)
+        assert hit is q and hit_report is report and solves == [(1.0, config)]
+        assert not q.flags.writeable
+        with pytest.raises(ValueError):
+            q[0] = 0.0
+        fresh, fresh_report = spectral.undamped(jr.CitationMatrix(matrix.counts), config)
+        np.testing.assert_array_equal(q, fresh)
+        assert report == fresh_report
+        uniform = np.full(matrix.n, 1.0 / matrix.n)
+        np.testing.assert_array_equal(q, stationary(matrix, 1.0, uniform, config)[0])
+
+    @pytest.mark.parametrize("method", ("direct", "power"))
+    def test_checks_raise_on_every_call(self, solves, method):
+        config = SolverConfig(method=method)
+        reducible = jr.CitationMatrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]))
+        dangling = jr.CitationMatrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
+        for _ in range(2):
+            with pytest.raises(NotIrreducible):
+                spectral.undamped(reducible, config)
+            with pytest.raises(ZeroOutgoing):
+                spectral.undamped(dangling, config)
+        assert solves == [] and not reducible.undamped_solves and not dangling.undamped_solves
+
+    def test_a_failed_solve_is_not_stored(self, two_field, solves):
+        matrix = jr.CitationMatrix(two_field[1].counts)
+        short = SolverConfig(method="power", max_iterations=1)
+        for _ in range(2):
+            with pytest.raises(NoConvergence):
+                spectral.undamped(matrix, short)
+        assert solves == [(1.0, short)] * 2 and not matrix.undamped_solves
+        q, report = spectral.undamped(matrix, SolverConfig(method="power"))
+        assert report.iterations > 1 and abs(q.sum() - 1.0) <= 1e-12
+
+    def test_two_threads_get_equal_bits(self):
+        journals, sparse, _ = make_block(seed=3, m=200, within=0.025, cross=0.0025)
+        assert sparse.sparse and sparse.n > spectral.DIRECT_LIMIT
+        expected = jr.compute("ipp", journals, jr.CitationMatrix(sparse.counts))
+        fresh = jr.CitationMatrix(sparse.counts)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(lambda _: jr.compute("ipp", journals, fresh), range(2)))
+        for result in results:
+            np.testing.assert_array_equal(result.values, expected.values)
+            assert result.solver == expected.solver
 
 
 class TestIwEigensystem:
